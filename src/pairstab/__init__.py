@@ -21,6 +21,7 @@ from .lattice import (
     MinNormPoint,
     SeparatingFunctional,
     Weight,
+    WitnessError,
     contains,
     hull,
     member,

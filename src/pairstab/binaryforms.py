@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import _poly
+from . import _linalg, _poly
 from .lattice import LatticePolytope, contains, hull
 
 Coeffs = tuple[Fraction, ...]
@@ -58,7 +58,7 @@ class BinaryForm:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple([Fraction(c) for c in self.coeffs])
         if len(cs) > self.degree + 1:
             raise ValueError("more coefficients than the degree allows")
         cs = cs + (Fraction(0),) * (self.degree + 1 - len(cs))
@@ -97,41 +97,12 @@ def resultant(P: BinaryForm, Q: BinaryForm) -> Fraction:
     padded coefficient lists, which is the homogeneous convention.
     """
     m, n = P.degree, Q.degree
-    size = m + n
-    if size == 0:
-        return Fraction(1)
     pdesc = list(reversed(P.coeffs))
     qdesc = list(reversed(Q.coeffs))
-    rows = []
-    for i in range(m):
-        rows.append(
-            [Fraction(0)] * i + qdesc + [Fraction(0)] * (size - i - len(qdesc))
-        )
-    for i in range(n):
-        rows.append(
-            [Fraction(0)] * i + pdesc + [Fraction(0)] * (size - i - len(pdesc))
-        )
-    return _det_fraction(rows)
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [row[:] for row in rows]
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            out = -out
-        out *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return out
+    rows = [[0] * i + qdesc + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + pdesc + [0] * (n - 1 - i) for i in range(n)]
+    a, scale = _linalg.int_rows(rows)
+    return Fraction(_linalg.echelon(a)[1], scale)
 
 
 def derivative(P: BinaryForm) -> BinaryForm:

@@ -18,6 +18,7 @@ strings; coefficient lists for binary forms run from the constant term up.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -190,8 +191,10 @@ def _characteristic_payload(ch: Characteristic) -> dict:
     }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PAIRSTAB_SEED", "0"))
+def _resolve_seed(args) -> None:
+    """Fill an absent --seed from PAIRSTAB_SEED (default 0), read per call."""
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = int(os.environ.get("PAIRSTAB_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +503,7 @@ def _cmd_examples(args) -> tuple[int, dict]:
 # parser and entry points
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairstab",
@@ -517,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("pair-check", _cmd_pair_check, help="torus sweep verdict for a pair file")
     sp.add_argument("--pair", required=True, help="JSON pair document")
     sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None)
 
     sp = add(
         "pair-check-sl2",
@@ -529,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--deg-f", type=int, default=None)
     sp.add_argument("--deg-g", type=int, default=None)
     sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None)
 
     sp = add("futaki", _cmd_futaki, help="pair weight difference along a cocharacter")
     sp.add_argument("--pair", required=True)
@@ -595,7 +599,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("examples", _cmd_examples, help="worked example bundles")
     sp.add_argument("name", nargs="?", default=None)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=int, default=None)
 
     return parser
 
@@ -617,6 +621,7 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         code = e.code if isinstance(e.code, int) else 1
         return (0 if code == 0 else 1, "")
     try:
+        _resolve_seed(args)
         code, payload = args.func(args)
     except json.JSONDecodeError as e:
         doc = {

@@ -8,14 +8,25 @@ walking from the last map backward, pick at each stage the lexicographically
 first column subset whose minor on the still-unused rows is invertible; the
 torsion is the alternating product of those minors.  The value is
 basis-dependent only up to sign.
+
+All elimination runs in integers (``_linalg``): each map's rows are cleared
+of denominators and reduced by one fraction-free echelon, whose pivot
+columns are that first invertible subset and whose signed last pivot is
+the minor.
+One elimination per map also decides exactness, so ``torsion`` needs no
+rank pass of its own.  ``Fraction`` appears only at the API: the stored
+maps and the returned torsion.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._linalg import echelon, int_rows
 from .binaryforms import BinaryForm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -33,20 +44,25 @@ class FiniteComplex:
     maps: tuple[Matrix, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple([int(d) for d in self.dims])
         if any(d < 0 for d in dims):
             raise ValueError("negative dimension")
         if len(self.maps) != max(len(dims) - 1, 0):
             raise ValueError("need one map per adjacent pair of terms")
-        maps = tuple(_as_matrix(m, dims[i + 1], dims[i]) for i, m in enumerate(self.maps))
-        for i in range(len(maps) - 1):
-            if not _is_zero(_mat_mul(maps[i + 1], maps[i])):
+        maps = tuple([_as_matrix(m, dims[i + 1], dims[i]) for i, m in enumerate(self.maps)])
+        for left, right in zip(maps[1:], maps):
+            # rescaling rows of the left factor keeps a zero product zero;
+            # the right factor takes one denominator for the whole matrix
+            a, _ = int_rows(left)
+            den = math.lcm(*[x.denominator for row in right for x in row])
+            cols = [[x.numerator * (den // x.denominator) for x in c] for c in zip(*right)]
+            if any(sum(map(operator.mul, row, c)) for row in a for c in cols):
                 raise ValueError("differentials do not compose to zero")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(_rank(m) for m in self.maps)
+        return tuple(len(echelon(int_rows(m)[0])[0]) for m in self.maps)
 
     def is_exact(self) -> bool:
         """Exactness at every term, endpoints included."""
@@ -60,62 +76,14 @@ class FiniteComplex:
 
 
 def _as_matrix(m: Sequence[Sequence], nrows: int, ncols: int) -> Matrix:
-    out = tuple(tuple(Fraction(x) for x in row) for row in m)
+    # a given Fraction is kept, not copied.  Tuples are built from lists:
+    # CPython 3.11 makes tuple(<generator>) by resizing a 10-slot tuple, so
+    # each one freed lands on another size's free list, which then fills
+    # until a full collection
+    out = tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in m])
     if len(out) != nrows or any(len(row) != ncols for row in out):
         raise ValueError("map shape does not match adjacent dimensions")
     return out
-
-
-def _is_zero(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return tuple(tuple() for _ in a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def _rank(m: Matrix) -> int:
-    rows = [list(r) for r in m]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _det(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return det
 
 
 def torsion(c: FiniteComplex) -> Fraction:
@@ -123,49 +91,32 @@ def torsion(c: FiniteComplex) -> Fraction:
     exponent +1.  Deterministic given the bases: subsets are scanned in
     lexicographic order.
 
+    Exactness is read off the same eliminations: im d_i lies in ker d_{i+1},
+    which the projection onto the unused rows maps injectively, so the
+    restricted rank of d_i reaches the row count exactly when the complex
+    is exact at C_{i+1}; no row may be left over after d_0.
+
     Raises:
         NotExactError: the complex is not exact, so no torsion is defined.
     """
-    if not c.is_exact():
-        raise NotExactError("torsion undefined: complex is not exact")
-    k = len(c.maps)
-    if k == 0:
-        return Fraction(1)
-    ranks = c.ranks()
-    result = Fraction(1)
+    num = den = 1
     # rows available to the map ending at each term; starts as all of C_k
-    rows = tuple(range(c.dims[k]))
-    for i in range(k - 1, -1, -1):
+    rows = list(range(c.dims[-1])) if c.dims else []
+    for i in range(len(c.maps) - 1, -1, -1):
         m = c.maps[i]
-        r = ranks[i]
-        cols = _first_invertible_cols(m, rows, r)
-        minor = _det(tuple(tuple(m[a][b] for b in cols) for a in rows))
-        exponent = 1 if (k - 1 - i) % 2 == 0 else -1
-        result *= minor if exponent == 1 else 1 / minor
-        rows = tuple(j for j in range(c.dims[i]) if j not in set(cols))
+        a, scale = int_rows(m[r] for r in rows)
+        cols, minor = echelon(a)
+        if len(cols) < len(rows):
+            raise NotExactError("torsion undefined: complex is not exact")
+        # the rational minor is minor / scale; every other map enters inverted
+        if (len(c.maps) - 1 - i) % 2:
+            minor, scale = scale, minor
+        num, den = num * minor, den * scale
+        used = set(cols)
+        rows = [j for j in range(c.dims[i]) if j not in used]
     if rows:
-        raise AssertionError("leftover rows after the first map")
-    return result
-
-
-def _first_invertible_cols(m: Matrix, rows: tuple[int, ...], r: int) -> tuple[int, ...]:
-    """Lexicographically first size-r column set invertible on the rows.
-
-    Greedy rank extension left to right picks exactly the subset a
-    lexicographic scan over combinations would, without the enumeration.
-    """
-    ncols = len(m[0]) if m else 0
-    kept: list[int] = []
-    for j in range(ncols):
-        if len(kept) == r:
-            break
-        trial = kept + [j]
-        sub = tuple(tuple(m[a][b] for b in trial) for a in rows)
-        if _rank(sub) == len(trial):
-            kept.append(j)
-    if len(kept) != r:
-        raise AssertionError("no invertible minor on the available rows")
-    return tuple(kept)
+        raise NotExactError("torsion undefined: complex is not exact")
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -196,18 +147,18 @@ def koszul_complex(f: BinaryForm, g: BinaryForm, m: int) -> FiniteComplex:
         b = [[Fraction(0)] * top for _ in range(2 * mid)]
         for c in range(top):
             for j, coeff in enumerate(g.coeffs):
-                b[c + j][c] = Fraction(-coeff)
+                b[c + j][c] = -coeff
             for j, coeff in enumerate(f.coeffs):
-                b[mid + c + j][c] = Fraction(coeff)
-        maps.append(tuple(tuple(row) for row in b))
+                b[mid + c + j][c] = coeff
+        maps.append(tuple([tuple(row) for row in b]))
     dims.append(2 * mid)
     a = [[Fraction(0)] * (2 * mid) for _ in range(m + 1)]
     for c in range(mid):
         for j, coeff in enumerate(f.coeffs):
-            a[c + j][c] = Fraction(coeff)
+            a[c + j][c] = coeff
         for j, coeff in enumerate(g.coeffs):
-            a[c + j][mid + c] = Fraction(coeff)
-    maps.append(tuple(tuple(row) for row in a))
+            a[c + j][mid + c] = coeff
+    maps.append(tuple([tuple(row) for row in a]))
     dims.append(m + 1)
     return FiniteComplex(tuple(dims), tuple(maps))
 

@@ -44,6 +44,10 @@ class HeightZeroError(ValueError):
     """Raised when an operation requires a polytope avoiding the origin."""
 
 
+class WitnessError(ArithmeticError):
+    """Raised when a certificate fails its exact check, which means a bug."""
+
+
 # ---------------------------------------------------------------------------
 # weights and cocharacters
 
@@ -236,9 +240,10 @@ def solve_phase1(columns: Sequence[Point], b: Point) -> Phase1Result:
     # z_i / den.  As start[i] is row i times signs[i] and den > 0, the
     # certificate conditions are checked on z and the starting integer rows.
     z = [den - rc[n + i] for i in range(m)]
-    assert sum(zi * row[n] for zi, row in zip(z, start)) > 0
-    for j in range(n):
-        assert sum(zi * row[j] for zi, row in zip(z, start)) <= 0
+    if sum(zi * row[n] for zi, row in zip(z, start)) <= 0 or any(
+        sum(zi * row[j] for zi, row in zip(z, start)) > 0 for j in range(n)
+    ):
+        raise WitnessError("phase-1 infeasibility certificate fails its check")
     y = tuple(Fraction(s * zi, den) for s, zi in zip(signs, z))
     return Phase1Result(False, None, y)
 
@@ -680,8 +685,11 @@ def _check_separator(P: LatticePolytope, sep: SeparatingFunctional) -> None:
     den, cols, _ = _vertex_table(P)
     q, cq = _integer_point(sep.coeffs)
     t = sep.threshold
-    assert max(_vertex_values(cols, cq)) * t.denominator <= q * den * t.numerator
-    assert sum(a * b for a, b in zip(sep.coeffs, sep.witness)) > sep.threshold
+    if (
+        max(_vertex_values(cols, cq)) * t.denominator > q * den * t.numerator
+        or sum(a * b for a, b in zip(sep.coeffs, sep.witness)) <= sep.threshold
+    ):
+        raise WitnessError("separating functional fails its check")
 
 
 def contains(outer: LatticePolytope, inner: LatticePolytope) -> ContainmentResult:

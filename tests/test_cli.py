@@ -225,3 +225,25 @@ def test_console_script_exit_2():
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["semistable"] is False
+
+
+def test_seed_default_is_resolved_per_call(tmp_path, monkeypatch):
+    path = _write(tmp_path, "pair.json", _pair_doc())
+    monkeypatch.delenv("PAIRSTAB_SEED", raising=False)
+    assert json.loads(run(["pair-check", "--pair", path, "--seed", "7"])[1])["seed"] == 7
+    # an explicit seed in one call does not become the next call's default
+    assert json.loads(run(["pair-check", "--pair", path])[1])["seed"] == 0
+    # the parser exists by now; the environment is still read at call time
+    monkeypatch.setenv("PAIRSTAB_SEED", "5")
+    assert json.loads(run(["pair-check", "--pair", path])[1])["seed"] == 5
+    assert json.loads(run(["pair-check", "--pair", path, "--seed", "7"])[1])["seed"] == 7
+
+
+def test_malformed_seed_env_is_exit_1(tmp_path, monkeypatch):
+    path = _write(tmp_path, "pair.json", _pair_doc())
+    monkeypatch.setenv("PAIRSTAB_SEED", "seven")
+    code, out = run(["pair-check", "--pair", path])
+    assert code == 1
+    assert json.loads(out)["op"] == "pair-check"
+    # subcommands without --seed do not read it
+    assert run(["resultant", "--f=0,1", "--g=1,1"])[0] == 0

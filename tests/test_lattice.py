@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -373,3 +377,39 @@ def test_solve_phase1_matches_fraction_pivot():
     # both verdicts and the Bland fallback are exercised
     assert min(outcomes.values()) >= 100
     assert bland_runs >= 25
+
+
+_FORGED_SEPARATOR = """
+import sys
+from fractions import Fraction
+from pairstab.lattice import SeparatingFunctional, WitnessError, _check_separator, hull
+
+if __debug__:
+    sys.exit("not running under -O")
+P = hull([(0, 0), (1, 0), (0, 1)])
+x = (Fraction(1), Fraction(0))
+checks = {
+    # the vertex (1, 0) lies above the threshold
+    "threshold": SeparatingFunctional(x, Fraction(1, 2), (Fraction(2), Fraction(0))),
+    # the witness does not lie above it
+    "witness": SeparatingFunctional(x, Fraction(1), (Fraction(1, 2), Fraction(0))),
+}
+for name, sep in checks.items():
+    try:
+        _check_separator(P, sep)
+    except WitnessError:
+        print(name, "refused")
+    else:
+        sys.exit(name + " accepted")
+"""
+
+
+def test_check_separator_refuses_forgeries_under_optimize():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_SEPARATOR], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["threshold refused", "witness refused", ""]
