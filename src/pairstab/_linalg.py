@@ -1,21 +1,38 @@
-"""Fraction-free exact elimination on integer rows.
+"""Exact linear algebra over Q, run in integers.
 
 Rational rows are brought to integers once (``int_rows``); elimination then
 runs in plain ``int`` by Bareiss's fraction-free rule (Bareiss 1968), where
-every division is exact.  Callers build a ``Fraction`` only for the value
-they return.
+every division is exact.  ``Fraction`` is built only for the values
+returned.
+
+This is the package's one elimination and denominator-clearing kernel:
+
+- ``koszul``: torsion (one ``echelon`` per map), ``ranks()`` and the
+  ``d∘d = 0`` check;
+- ``binaryforms``: the Sylvester resultant (``det``) and the integer
+  polynomial of the rational root test (``primitive``);
+- ``rep``: the determinant check of ``matrix_action``, the wedge minors
+  (``det``) and the SL(3) contraction kernel (``nullspace``);
+- ``lattice``: the phase-1 rows, the integer vertex table and the
+  membership probe (``int_rows``), the affine frame (``echelon``), the Gram
+  coordinates and the KKT system of ``min_norm_point`` (``solve``), and
+  the facet normals (``primitive``);
+- ``toric`` and ``pairs``: integer functionals and cocharacters cleared
+  from rational separators (``primitive``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 
 def int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
     """Each rational row times the lcm of its denominators, as ints, and the
     product of those multipliers (a determinant of the integer rows is
-    ``scale`` times the rational one)."""
+    ``scale`` times the rational one).  For one row the multiplier is the
+    row's least common denominator."""
     out = []
     scale = 1
     for row in rows:
@@ -61,3 +78,60 @@ def echelon(rows: list[list[int]]) -> tuple[list[int], int]:
         pivots.append(j)
         r += 1
     return pivots, (sign * prev if r == n else 0)
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square rational matrix."""
+    a, scale = int_rows(rows)
+    return Fraction(echelon(a)[1], scale)
+
+
+def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[list[list[Fraction]]]:
+    """X with A X = B, for a square rational A and B with as many rows, or
+    None when A is singular.
+
+    One echelon of the integer rows [A | B], then back substitution on the
+    triangle: with D its last pivot, D times every entry of X is an integer
+    (Cramer's rule), so each division is exact.
+    """
+    n = len(a)
+    rows, _ = int_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
+    if echelon(rows)[0] != list(range(n)):
+        return None
+    d = rows[-1][n - 1] if n else 1
+    dx: list[list[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        dx[i] = [
+            (d * row[c] - sum(row[j] * dx[j][c - n] for j in range(i + 1, n))) // row[i]
+            for c in range(n, len(row))
+        ]
+    return [[Fraction(v, d) for v in r] for r in dx]
+
+
+def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of the solutions of ``rows . x = 0``, one vector per column
+    without a pivot: 1 there, 0 at the other such columns, and the pivot
+    columns solved for.  This is the reduced-row-echelon basis."""
+    a, _ = int_rows(rows)
+    ncols = len(a[0])
+    pivots, _ = echelon(a)
+    free = [j for j in range(ncols) if j not in pivots]
+    top = a[: len(pivots)]
+    x = solve([[r[p] for p in pivots] for r in top], [[-r[f] for f in free] for r in top])
+    basis = []
+    for c, f in enumerate(free):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for p, xp in zip(pivots, x):
+            vec[p] = xp[c]
+        basis.append(vec)
+    return basis
+
+
+def primitive(values: Sequence) -> list[int]:
+    """The rational vector times the positive factor that makes it a vector
+    of coprime integers; a zero vector stays zero."""
+    [ints], _ = int_rows([values])
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]

@@ -101,8 +101,7 @@ def resultant(P: BinaryForm, Q: BinaryForm) -> Fraction:
     qdesc = list(reversed(Q.coeffs))
     rows = [[0] * i + qdesc + [0] * (m - 1 - i) for i in range(m)]
     rows += [[0] * i + pdesc + [0] * (n - 1 - i) for i in range(n)]
-    a, scale = _linalg.int_rows(rows)
-    return Fraction(_linalg.echelon(a)[1], scale)
+    return _linalg.det(rows)
 
 
 def derivative(P: BinaryForm) -> BinaryForm:
@@ -308,10 +307,7 @@ def rational_roots(f: BinaryForm) -> list[Fraction]:
     if len(p) <= 1:
         return sorted(roots)
     # integerize, then run the rational root test on leading/trailing divisors
-    mult = 1
-    for c in p:
-        mult = mult * c.denominator // _int_gcd(mult, c.denominator)
-    ints = [int(c * mult) for c in p]
+    ints = _linalg.primitive(p)
     lead, trail = ints[-1], ints[0]
     for q in _divisors(abs(lead)):
         for pnum in _divisors(abs(trail)):
@@ -321,12 +317,6 @@ def rational_roots(f: BinaryForm) -> list[Fraction]:
                 if _eval_poly(p, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
-
-
-def _int_gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _divisors(n: int) -> list[int]:

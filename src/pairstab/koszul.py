@@ -20,7 +20,6 @@ maps and the returned torsion.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,11 +50,10 @@ class FiniteComplex:
             raise ValueError("need one map per adjacent pair of terms")
         maps = tuple([_as_matrix(m, dims[i + 1], dims[i]) for i, m in enumerate(self.maps)])
         for left, right in zip(maps[1:], maps):
-            # rescaling rows of the left factor keeps a zero product zero;
-            # the right factor takes one denominator for the whole matrix
+            # rescaling rows of the left factor and columns of the right one
+            # keeps a zero product zero and a nonzero one nonzero
             a, _ = int_rows(left)
-            den = math.lcm(*[x.denominator for row in right for x in row])
-            cols = [[x.numerator * (den // x.denominator) for x in c] for c in zip(*right)]
+            cols, _ = int_rows(zip(*right))
             if any(sum(map(operator.mul, row, c)) for row in a for c in cols):
                 raise ValueError("differentials do not compose to zero")
         object.__setattr__(self, "dims", dims)

@@ -1,15 +1,19 @@
 """Exact lattice-point and polytope kernel.
 
 Everything here is exact rational arithmetic; no float enters.  Points,
-vertices, LP solutions and witnesses are tuples of ``Fraction``.  Two hot
-paths run in plain ``int`` instead and build ``Fraction`` values only for
-what they return:
+vertices, LP solutions and witnesses are tuples of ``Fraction``.  The
+following run in plain ``int`` instead and build ``Fraction`` values only
+for what they return:
 
 - the phase-1 simplex, a fraction-free tableau (row denominators cleared
   once, one running pivot denominator, every division exact);
 - the centroid support probe in ``member`` and the separator check after its
   LP, on an integer vertex table (all vertices over one common denominator)
-  that each polytope builds once.
+  that each polytope builds once;
+- every elimination and denominator clearing, through ``_linalg``: the
+  affine frame of a polytope (a Bareiss echelon), its Gram coordinate rows
+  and the KKT systems of ``min_norm_point`` (fraction-free solves), and the
+  primitive facet normals.
 
 Weights are integer lattice points considered up to adding a constant vector
 (1, ..., 1), cocharacters are integer vectors with coordinate sum zero, and
@@ -26,18 +30,22 @@ agree and the LP stays the reference implementation.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._linalg import echelon, int_rows, primitive, solve
+
 Point = tuple[Fraction, ...]
 
 
 def _to_point(coords: Sequence) -> Point:
-    # a Fraction is immutable, so one already given is kept, not copied
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    # a Fraction is immutable, so one already given is kept, not copied.
+    # Hot tuples here are built from lists: CPython 3.11 builds
+    # tuple(<generator>) by shrinking a larger tuple, and the freed tuples
+    # pile up on the free lists until a full collection
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 class HeightZeroError(ValueError):
@@ -76,7 +84,7 @@ class Weight:
     def traceless(self) -> Point:
         """Representative with coordinate sum zero (rational in general)."""
         mean = Fraction(sum(self.coords), len(self.coords))
-        return tuple(Fraction(c) - mean for c in self.coords)
+        return tuple([Fraction(c) - mean for c in self.coords])
 
     def shifted(self, k: int) -> "Weight":
         return Weight(tuple(c + k for c in self.coords))
@@ -155,13 +163,13 @@ def solve_phase1(columns: Sequence[Point], b: Point) -> Phase1Result:
     # flip rows to make the right-hand side nonnegative, and clear each row's
     # denominators so pivoting starts from integers
     signs = []
+    start = []
     for i in range(m):
-        scale = math.lcm(b[i].denominator, _common_denominator(c[i] for c in columns))
-        signs.append(scale if b[i] >= 0 else -scale)
-    start = [
-        [_scaled(signs[i], col[i]) for col in columns] + [_scaled(signs[i], b[i])]
-        for i in range(m)
-    ]
+        [row], scale = int_rows([[col[i] for col in columns] + [b[i]]])
+        if b[i] < 0:
+            scale, row = -scale, [-v for v in row]
+        signs.append(scale)
+        start.append(row)
     tab = [
         row[:n] + [int(k == i) for k in range(m)] + row[n:]
         for i, row in enumerate(start)
@@ -244,22 +252,8 @@ def solve_phase1(columns: Sequence[Point], b: Point) -> Phase1Result:
         sum(zi * row[j] for zi, row in zip(z, start)) > 0 for j in range(n)
     ):
         raise WitnessError("phase-1 infeasibility certificate fails its check")
-    y = tuple(Fraction(s * zi, den) for s, zi in zip(signs, z))
+    y = tuple([Fraction(s * zi, den) for s, zi in zip(signs, z)])
     return Phase1Result(False, None, y)
-
-
-def _common_denominator(values: Iterable) -> int:
-    """Least common denominator of rationals (an int counts as over 1)."""
-    den = 1
-    for c in values:
-        den = math.lcm(den, c.denominator)
-    return den
-
-
-def _scaled(scale: int, c) -> int:
-    """``scale * c`` as an int, for a rational ``c`` whose denominator
-    divides ``scale``."""
-    return c.numerator * (scale // c.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -461,51 +455,20 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
 
 
 def _affine_frame(P: LatticePolytope):
-    """Base point and a basis of the affine hull's direction space, chosen
-    greedily from the differences ``v - base`` in vertex order."""
+    """Base point and a basis of the affine hull's direction space: the
+    first differences ``v - base``, in vertex order, independent of the
+    earlier ones (the pivot columns of the differences as columns)."""
     base = P.vertices[0]
-    diffs = [tuple(a - b for a, b in zip(v, base)) for v in P.vertices[1:]]
-    # pick a basis of the direction space by Gaussian elimination
-    basis: list[Point] = []
-    mat: list[list[Fraction]] = []
-    for dvec in diffs:
-        row = list(dvec)
-        for bmrow in mat:
-            lead = next(i for i, v in enumerate(bmrow) if v != 0)
-            if row[lead] != 0:
-                f = row[lead] / bmrow[lead]
-                row = [a - f * b for a, b in zip(row, bmrow)]
-        if any(v != 0 for v in row):
-            mat.append(row)
-            basis.append(dvec)
-    return base, basis
+    diffs = [tuple([a - b for a, b in zip(v, base)]) for v in P.vertices[1:]]
+    rows, _ = int_rows(zip(*diffs))
+    return base, [diffs[j] for j in echelon(rows)[0]]
 
 
-def _coordinate_rows(basis: list[Point], ambient: int) -> list[Point]:
+def _coordinate_rows(basis: list[Point]) -> list[Point]:
     """The d x ambient matrix with coord(x) = rows . (x - base): Gram-based
     affine coordinates, G^{-1} B (x - base), exact."""
-    d = len(basis)
     gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    ginv = _invert(gram)
-    return [
-        tuple(sum(ginv[i][k] * basis[k][j] for k in range(d)) for j in range(ambient))
-        for i in range(d)
-    ]
-
-
-def _invert(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(mat)
-    aug = [list(mat[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [tuple(r) for r in solve(gram, basis)]
 
 
 def _facets_low_dim(coords: list[Point]) -> list[tuple[Point, Fraction]]:
@@ -549,16 +512,11 @@ def _facets_low_dim(coords: list[Point]) -> list[tuple[Point, Fraction]]:
 
 
 def _primitive(vec: Point) -> Optional[Point]:
-    if all(v == 0 for v in vec):
+    ints = primitive(vec)
+    lead = next((v for v in ints if v), 0)
+    if not lead:
         return None
-    den = _common_denominator(vec)
-    ints = [_scaled(den, v) for v in vec]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple([Fraction(v if lead > 0 else -v) for v in ints])
 
 
 def _get_hrep(P: LatticePolytope):
@@ -571,7 +529,7 @@ def _get_hrep(P: LatticePolytope):
     d = len(basis)
     frame = None
     if d <= 3:
-        rows = _coordinate_rows(basis, P.ambient)
+        rows = _coordinate_rows(basis)
         coords = [
             tuple(sum(r[j] * (v[j] - base[j]) for j in range(P.ambient)) for r in rows)
             for v in P.vertices
@@ -586,24 +544,20 @@ def _membership_facets(P: LatticePolytope, x: Point):
     """Exact membership via the facet cache; returns (inside, separator)."""
     base, rows, basis, facets = _get_hrep(P)[1]
     d = len(basis)
-    diff = tuple(a - b for a, b in zip(x, base))
-    y = tuple(sum(r[j] * diff[j] for j in range(len(diff))) for r in rows)
+    diff = [a - b for a, b in zip(x, base)]
+    y = [sum(r[j] * diff[j] for j in range(len(diff))) for r in rows]
     # first check x lies in the affine hull at all
-    proj = tuple(
-        base[j] + sum(y[i] * basis[i][j] for i in range(d)) for j in range(len(x))
-    )
-    perp = tuple(a - b for a, b in zip(x, proj))
+    proj = [base[j] + sum(y[i] * basis[i][j] for i in range(d)) for j in range(len(x))]
+    perp = [a - b for a, b in zip(x, proj)]
     if any(v != 0 for v in perp):
         c0 = sum(g * p for g, p in zip(perp, P.vertices[0]))
-        return False, SeparatingFunctional(perp, c0, x)
+        return False, SeparatingFunctional(tuple(perp), c0, x)
     if d == 0:
         return True, None
     for normal, cval in facets:
         val = sum(a * b for a, b in zip(normal, y))
         if val > cval:
-            g = tuple(
-                sum(normal[i] * rows[i][j] for i in range(d)) for j in range(len(x))
-            )
+            g = tuple([sum(normal[i] * rows[i][j] for i in range(d)) for j in range(len(x))])
             shift = sum(gj * bj for gj, bj in zip(g, base))
             return False, SeparatingFunctional(g, cval + shift, x)
     return True, None
@@ -616,9 +570,9 @@ def _vertex_table(P: LatticePolytope):
     each coordinate, which is ``len(P.vertices) * den`` times the centroid."""
     if P._itab is None:
         # each distinct coordinate is scaled once, so equal entries share one int
-        values = {c for v in P.vertices for c in v}
-        den = _common_denominator(values)
-        scaled = {c: _scaled(den, c) for c in values}
+        values = list({c for v in P.vertices for c in v})
+        [ints], den = int_rows([values])
+        scaled = dict(zip(values, ints))
         cols = tuple(
             tuple(scaled[v[j]] for v in P.vertices) for j in range(P.ambient)
         )
@@ -633,12 +587,6 @@ def _vertex_values(cols: tuple[tuple[int, ...], ...], u: Sequence[int]) -> list[
         if a:
             vals = list(map(operator.add, vals, map(a.__mul__, col)))
     return vals
-
-
-def _integer_point(x: Point) -> tuple[int, list[int]]:
-    """(q, q * x) with q the least common denominator of ``x``."""
-    q = _common_denominator(x)
-    return q, [_scaled(q, c) for c in x]
 
 
 def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
@@ -656,7 +604,7 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
     # threshold is the exact max of the functional over the vertices.  It
     # runs in integers, with u scaled by nv * den * q.
     den, cols, sums = _vertex_table(P)
-    q, xq = _integer_point(xx)
+    [xq], q = int_rows([xx])
     nv = len(P.vertices)
     scale = nv * den * q
     u = [nv * den * a - q * s for a, s in zip(xq, sums)]
@@ -665,7 +613,7 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
         return ContainmentResult(True, None)
     smax = max(_vertex_values(cols, u))
     if den * sum(map(operator.mul, u, xq)) > q * smax:
-        coeffs = tuple(Fraction(a, scale) for a in u)
+        coeffs = tuple([Fraction(a, scale) for a in u])
         sep = SeparatingFunctional(coeffs, Fraction(smax, scale * den), xx)
         return ContainmentResult(False, sep)
     res = _in_hull_lp(P.vertices, xx)
@@ -683,7 +631,7 @@ def _check_separator(P: LatticePolytope, sep: SeparatingFunctional) -> None:
     # coeffs . v <= threshold on every vertex, in integers: with coeffs =
     # cq / q and v = w / den this is  cq . w * t.den <= q * den * t.num
     den, cols, _ = _vertex_table(P)
-    q, cq = _integer_point(sep.coeffs)
+    [cq], q = int_rows([sep.coeffs])
     t = sep.threshold
     if (
         max(_vertex_values(cols, cq)) * t.denominator > q * den * t.numerator
@@ -763,16 +711,11 @@ def _project_origin(subset: Sequence[Point]) -> Optional[MinNormPoint]:
     k = len(subset)
     gram = [[sum(a * b for a, b in zip(p, q)) for q in subset] for p in subset]
     # KKT system for min |sum l_i p_i|^2  with  sum l_i = 1
-    n = k + 1
-    aug = [
-        [2 * gram[i][j] for j in range(k)] + [Fraction(1)] + [Fraction(0)]
-        for i in range(k)
-    ]
-    aug.append([Fraction(1)] * k + [Fraction(0), Fraction(1)])
-    sol = _solve_unique(aug, n)
+    kkt = [[2 * g for g in row] + [1] for row in gram] + [[1] * k + [0]]
+    sol = solve(kkt, [[0]] * k + [[1]])
     if sol is None:
         return None
-    lams = sol[:k]
+    lams = [row[0] for row in sol[:k]]
     if any(l < 0 for l in lams):
         return None
     point = tuple(
@@ -781,22 +724,3 @@ def _project_origin(subset: Sequence[Point]) -> Optional[MinNormPoint]:
     nsq = sum(c * c for c in point)
     return MinNormPoint(point, nsq)
 
-
-def _solve_unique(aug: list[list[Fraction]], n: int) -> Optional[list[Fraction]]:
-    mat = [row[:] for row in aug]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        mat[col] = [v / inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[i][n] for i in range(n)]

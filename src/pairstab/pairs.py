@@ -17,16 +17,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import sqrt
 from typing import Optional, Sequence, Union
 
-from . import binaryforms
+from . import _linalg, binaryforms
 from .lattice import (
     Cocharacter,
     HeightZeroError,
     LatticePolytope,
     SeparatingFunctional,
     Weight,
+    WitnessError,
     contains,
     member,
     min_norm_point,
@@ -102,16 +103,7 @@ def _witness_from_separator(sep: SeparatingFunctional, n: int) -> Cocharacter:
     """
     g = [-c for c in sep.coeffs]
     mean = sum(g) / n
-    g = [c - mean for c in g]
-    denom = 1
-    for c in g:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in g]
-    common = 0
-    for c in ints:
-        common = gcd(common, abs(c))
-    ints = [c // common for c in ints]
-    return Cocharacter(tuple(ints))
+    return Cocharacter(tuple(_linalg.primitive([c - mean for c in g])))
 
 
 def nss_fixed_torus(p: Pair) -> FixedTorusResult:
@@ -131,7 +123,7 @@ def nss_fixed_torus(p: Pair) -> FixedTorusResult:
     u = _witness_from_separator(sep, p.N + 1)
     val = futaki_gen(p, u)
     if val <= 0:
-        raise AssertionError("separator produced a non-positive witness")
+        raise WitnessError("separator produced a non-positive witness")
     return FixedTorusResult(False, u, val, sep)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from . import _linalg
 from .lattice import LatticePolytope, Weight, hull
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -263,31 +264,6 @@ def weight_polytope(v: WeightedVector) -> LatticePolytope:
 # matrix action
 
 
-def det(mat: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    result = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return result
-
-
 def _as_matrix(sigma: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in sigma)
 
@@ -310,7 +286,7 @@ def matrix_action(
     n = mod.n_vars
     if len(mat) != n or any(len(row) != n for row in mat):
         raise ValueError("matrix must be %d x %d" % (n, n))
-    if det(mat) != 1:
+    if _linalg.det(mat) != 1:
         raise ValueError("matrix determinant must be exactly 1")
     out: dict = {}
     for key, c in v.coeffs:
@@ -339,7 +315,7 @@ def _key_action(shape: Shape, n: int, mat: Matrix, key) -> dict:
         out = {}
         for rows in itertools.combinations(range(n), k):
             minor = [[mat[r][c] for c in key] for r in rows]
-            d = det(minor)
+            d = _linalg.det(minor)
             if d != 0:
                 out[rows] = d
         return out
@@ -525,46 +501,9 @@ def sl3_contraction_kernel() -> ContractionKernel:
     for col, key in enumerate(keys):
         for j, val in _contract_key(key).items():
             rows[j][col] = val
-    null = _nullspace(rows)
     basis = tuple(
-        WeightedVector(ambient, tuple((keys[i], c) for i, c in vec))
-        for vec in null
+        WeightedVector(ambient, tuple(zip(keys, vec))) for vec in _linalg.nullspace(rows)
     )
     if len(basis) != 15:
         raise AssertionError("contraction kernel should be 15-dimensional")
     return ContractionKernel(ambient, basis)
-
-
-def _nullspace(rows: list[list[Fraction]]) -> list[list[tuple[int, Fraction]]]:
-    """Sparse nullspace basis from the reduced row echelon form."""
-    mat = [row[:] for row in rows]
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [(fc, Fraction(1))]
-        for prow, pc in zip(mat[:len(pivots)], pivots):
-            if prow[fc] != 0:
-                vec.append((pc, -prow[fc]))
-        vec.sort()
-        basis.append(vec)
-    return basis

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
-from .lattice import contains, hull, solve_phase1
+from . import _linalg
+from .lattice import WitnessError, contains, hull, solve_phase1
 
 IntPoint = tuple[int, ...]
 
@@ -93,21 +93,10 @@ def extension_criterion(data: ToricData) -> ExtensionResult:
         return ExtensionResult(True)
     sep = res.separator
     assert sep is not None
-    u = _integerize([-c for c in sep.coeffs])
+    u = tuple(_linalg.primitive([-c for c in sep.coeffs]))
     if star_condition(data, u):
-        raise AssertionError("separator failed to violate the star condition")
+        raise WitnessError("separator failed to violate the star condition")
     return ExtensionResult(False, u)
-
-
-def _integerize(coords: Sequence[Fraction]) -> IntPoint:
-    denom = 1
-    for c in coords:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coords]
-    common = 0
-    for c in ints:
-        common = gcd(common, abs(c))
-    return tuple(c // common for c in ints) if common else tuple(ints)
 
 
 def boundary_witness(A: Sequence[Sequence[int]], u: Sequence[int]) -> tuple[IntPoint, ...]:
@@ -151,7 +140,7 @@ def accessible_faces(A: Sequence[Sequence[int]]) -> list[FaceCertificate]:
             if u is None:
                 continue
             if boundary_witness(pts, u) != tuple(sorted(S)):
-                raise AssertionError("certified functional has the wrong argmin")
+                raise WitnessError("certified functional has the wrong argmin")
             out.append(FaceCertificate(tuple(sorted(S)), u))
     return out
 
@@ -191,7 +180,7 @@ def _face_functional(
     x = res.x
     assert x is not None
     u_frac = [x[j] - x[dim + j] for j in range(dim)]
-    return _integerize(u_frac)
+    return tuple(_linalg.primitive(u_frac))
 
 
 def max_certificate_coordinate(certs: Sequence[FaceCertificate]) -> int:

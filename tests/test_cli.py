@@ -147,6 +147,17 @@ def test_toric_extend_exit_codes(tmp_path):
     assert doc["lhs"] > doc["rhs"]
 
 
+def test_failed_witness_check_is_exit_1(tmp_path, monkeypatch):
+    from pairstab import _linalg
+
+    a = _write(tmp_path, "a.json", {"points": [[0], [1], [2], [3]]})
+    b = _write(tmp_path, "b.json", {"points": [[0], [1]]})
+    monkeypatch.setattr(_linalg, "primitive", lambda v: [0] * len(v))
+    code, out = run(["toric-extend", "--A", a, "--B", b])
+    assert code == 1
+    assert "star condition" in json.loads(out)["error"]
+
+
 def test_malformed_json_reports_position(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"v": \n  oops}')
@@ -207,21 +218,23 @@ def test_seed_env_changes_default(tmp_path, monkeypatch):
     assert out_env == out_exp
 
 
-def test_module_entrypoint_subprocess():
+def test_module_entrypoint_subprocess(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "pairstab.cli", "resultant", "--f=-1,0,1", "--g=-4,0,1"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["resultant"] == 9
 
 
-def test_console_script_exit_2():
+def test_console_script_exit_2(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "pairstab.cli", "pair-check-sl2", "--f=0,0,1", "--g=0,0,0,1"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["semistable"] is False

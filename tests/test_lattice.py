@@ -1,6 +1,4 @@
 import math
-import os
-import pathlib
 import random
 import subprocess
 import sys
@@ -379,24 +377,57 @@ def test_solve_phase1_matches_fraction_pivot():
     assert bland_runs >= 25
 
 
-_FORGED_SEPARATOR = """
+_FORGED_WITNESSES = """
 import sys
 from fractions import Fraction
-from pairstab.lattice import SeparatingFunctional, WitnessError, _check_separator, hull
+from pairstab import _linalg, pairs, toric
+from pairstab.lattice import (
+    Cocharacter, SeparatingFunctional, WitnessError, _check_separator, hull,
+)
+from pairstab.rep import Module, Sym, Trivial, vector
 
 if __debug__:
     sys.exit("not running under -O")
 P = hull([(0, 0), (1, 0), (0, 1)])
 x = (Fraction(1), Fraction(0))
+pair = pairs.Pair(vector(Module(1, Trivial()), {(): 1}), vector(Module(1, Sym(2)), {(2, 0): 1}))
+line = toric.ToricData(A=[(0,), (1,), (2,), (3,)], B=[(0,), (1,)], dim=1)
+
+
+def forge_futaki():
+    pairs._witness_from_separator = lambda sep, n: Cocharacter((-1, 1))
+    pairs.nss_fixed_torus(pair)
+
+
+def forge_star():
+    _linalg.primitive = lambda v: [0] * len(v)
+    toric.extension_criterion(line)
+
+
+def forge_argmin():
+    toric._face_functional = lambda pts, S, dim: (0,) * dim
+    toric.accessible_faces([(0,), (1,)])
+
+
 checks = {
     # the vertex (1, 0) lies above the threshold
-    "threshold": SeparatingFunctional(x, Fraction(1, 2), (Fraction(2), Fraction(0))),
+    "threshold": lambda: _check_separator(
+        P, SeparatingFunctional(x, Fraction(1, 2), (Fraction(2), Fraction(0)))
+    ),
     # the witness does not lie above it
-    "witness": SeparatingFunctional(x, Fraction(1), (Fraction(1, 2), Fraction(0))),
+    "witness": lambda: _check_separator(
+        P, SeparatingFunctional(x, Fraction(1), (Fraction(1, 2), Fraction(0)))
+    ),
+    # a cocharacter with negative futaki value
+    "futaki": forge_futaki,
+    # a functional that satisfies the star condition
+    "star": forge_star,
+    # a face functional whose argmin is all of A
+    "argmin": forge_argmin,
 }
-for name, sep in checks.items():
+for name, forge in checks.items():
     try:
-        _check_separator(P, sep)
+        forge()
     except WitnessError:
         print(name, "refused")
     else:
@@ -404,12 +435,10 @@ for name, sep in checks.items():
 """
 
 
-def test_check_separator_refuses_forgeries_under_optimize():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+def test_check_separator_refuses_forgeries_under_optimize(src_env):
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FORGED_SEPARATOR], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", _FORGED_WITNESSES], capture_output=True, text=True, env=src_env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["threshold refused", "witness refused", ""]
+    names = ("threshold", "witness", "futaki", "star", "argmin")
+    assert proc.stdout.splitlines() == [name + " refused" for name in names]

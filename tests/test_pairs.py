@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstab.lattice import Cocharacter, HeightZeroError, contains
+from pairstab import pairs
+from pairstab.lattice import Cocharacter, HeightZeroError, WitnessError, contains
 from pairstab.pairs import (
     NotRefuted,
     Pair,
@@ -66,6 +67,14 @@ def test_fixed_torus_refutes_double_root_with_witness():
     assert res.witness.coords == (1, -1)
     assert res.futaki == 2
     assert futaki_gen(p, res.witness) == res.futaki
+
+
+def test_futaki_check_refuses_a_bad_witness(monkeypatch):
+    p = Pair(_triv(), _sym(2, {(2, 0): 1}))
+    # the negated witness has futaki -2
+    monkeypatch.setattr(pairs, "_witness_from_separator", lambda sep, n: Cocharacter((-1, 1)))
+    with pytest.raises(WitnessError):
+        nss_fixed_torus(p)
 
 
 def test_nss_check_proves_squarefree_binary():
@@ -230,7 +239,7 @@ def test_unstable_verdicts_survive_reconjugation(rng):
 
 
 def test_random_conjugator_det_one():
-    from pairstab.rep import det
+    from pairstab._linalg import det
 
     rng = random.Random(5)
     for n in (2, 3):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from pairstab import _linalg, toric
+from pairstab.lattice import WitnessError
 from pairstab.toric import (
     FaceCertificate,
     ToricData,
@@ -43,6 +45,21 @@ def test_star_violation_missing_end():
     res = extension_criterion(d)
     assert not res
     assert not star_condition(d, res.star_violator)
+
+
+def test_star_check_refuses_a_bad_violator(monkeypatch):
+    d = ToricData(A=[(0,), (1,), (2,), (3,)], B=[(0,), (1,)], dim=1)
+    # the zero functional satisfies the star condition
+    monkeypatch.setattr(_linalg, "primitive", lambda v: [0] * len(v))
+    with pytest.raises(WitnessError):
+        extension_criterion(d)
+
+
+def test_argmin_check_refuses_a_bad_certificate(monkeypatch):
+    # the zero functional has every point in its argmin
+    monkeypatch.setattr(toric, "_face_functional", lambda pts, S, dim: (0,) * dim)
+    with pytest.raises(WitnessError):
+        accessible_faces([(0,), (1,)])
 
 
 def test_extension_vacuous_when_all_marked():
