@@ -11,8 +11,9 @@ This is the package's one elimination and denominator-clearing kernel:
   ``d∘d = 0`` check;
 - ``binaryforms``: the Sylvester resultant (``det``) and the integer
   polynomial of the rational root test (``primitive``);
-- ``rep``: the determinant check of ``matrix_action``, the wedge minors
-  (``det``) and the SL(3) contraction kernel (``nullspace``);
+- ``rep``: the integer matrix and coefficients of ``matrix_action``
+  (``int_rows``), its determinant check and wedge minors (``echelon``), and
+  the SL(3) contraction kernel (``nullspace``);
 - ``lattice``: the phase-1 rows, the integer vertex table and the
   membership probe (``int_rows``), the affine frame (``echelon``), the Gram
   coordinates and the KKT system of ``min_norm_point`` (``solve``), and

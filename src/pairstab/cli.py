@@ -294,11 +294,9 @@ def _cmd_toric_extend(args) -> tuple[int, dict]:
     A = _points_from_json(_load_json(args.A), "A")
     B = _points_from_json(_load_json(args.B), "B")
     data = toric.ToricData(tuple(A), tuple(B), len(A[0]))
-    res = toric.extension_criterion(data)
-    if res.extends:
+    u = toric.extension_criterion(data).star_violator
+    if u is None:
         return (0, {"extends": True})
-    u = res.star_violator
-    assert u is not None
     rest = data.complement()
     lhs = min(0, min(sum(a * b for a, b in zip(u, b)) for b in data.B))
     rhs = min(sum(a * b for a, b in zip(u, p)) for p in rest)

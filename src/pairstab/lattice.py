@@ -411,9 +411,8 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
     rhs = xx + (Fraction(1),)
     if len(cols) <= 24:
         res = solve_phase1(cols, rhs)
-        if res.feasible:
+        if res.y is None:
             return res
-        assert res.y is not None
         return Phase1Result(False, None, lift(res.y))
     # column generation: solve on a small working set, price the rest with
     # the dual certificate, and stop once no column can improve it
@@ -429,13 +428,12 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
     active = sorted(set(aligned[:8]) | set(spread))
     while True:
         res = solve_phase1([cols[j] for j in active], rhs)
-        if res.feasible:
+        y = res.y
+        if y is None:
             full = [Fraction(0)] * nn
             for slot, j in enumerate(active):
                 full[j] = res.x[slot]
             return Phase1Result(True, tuple(full), None)
-        y = res.y
-        assert y is not None
         in_active = set(active)
         scored = []
         for j in range(nn):
@@ -617,10 +615,9 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
         sep = SeparatingFunctional(coeffs, Fraction(smax, scale * den), xx)
         return ContainmentResult(False, sep)
     res = _in_hull_lp(P.vertices, xx)
-    if res.feasible:
-        return ContainmentResult(True, None)
     y = res.y
-    assert y is not None
+    if y is None:
+        return ContainmentResult(True, None)
     g, g0 = y[:-1], y[-1]
     sep = SeparatingFunctional(g, -g0, xx)
     _check_separator(P, sep)
@@ -692,17 +689,14 @@ def min_norm_point(P: LatticePolytope) -> MinNormPoint:
     if P.effective_dim() > 4:
         raise ValueError("min_norm_point limited to effective dimension <= 4")
     verts = P.vertices
-    best: Optional[MinNormPoint] = None
     max_size = min(len(verts), P.effective_dim() + 1)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(verts, size):
-            cand = _project_origin(subset)
-            if cand is None:
-                continue
-            if best is None or cand.norm_sq < best.norm_sq:
-                best = cand
-    assert best is not None
-    return best
+    cands = (
+        _project_origin(subset)
+        for size in range(1, max_size + 1)
+        for subset in itertools.combinations(verts, size)
+    )
+    # min keeps the first of equal norms; a single vertex always projects
+    return min((c for c in cands if c is not None), key=lambda c: c.norm_sq)
 
 
 def _project_origin(subset: Sequence[Point]) -> Optional[MinNormPoint]:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import _linalg, binaryforms
 from .lattice import (
@@ -115,11 +115,9 @@ def nss_fixed_torus(p: Pair) -> FixedTorusResult:
     """
     inner = weight_polytope(p.v)
     outer = weight_polytope(p.w)
-    res = contains(outer, inner)
-    if res:
+    sep = contains(outer, inner).separator
+    if sep is None:
         return FixedTorusResult(True)
-    sep = res.separator
-    assert sep is not None
     u = _witness_from_separator(sep, p.N + 1)
     val = futaki_gen(p, u)
     if val <= 0:
@@ -178,14 +176,14 @@ def identity_matrix(n: int) -> Matrix:
 
 def random_conjugator(rng: random.Random, n: int) -> Matrix:
     """Product of 3 to 6 elementary matrices with entries in [-3, 3]."""
-    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(3, 6)):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-3, -2, -1, 1, 2, 3])
         # right-multiply by I + c E_ij
         for r in range(n):
             mat[r][j] += c * mat[r][i]
-    return tuple(tuple(row) for row in mat)
+    return tuple(tuple([Fraction(x) for x in row]) for row in mat)
 
 
 def conjugate_pair(p: Pair, sigma: Sequence[Sequence]) -> Pair:
@@ -230,13 +228,36 @@ def _sl2_refutation_conjugators(
     return out
 
 
+def _first_refutation(
+    p: Pair, sigmas: Iterable[Matrix], contained: set
+) -> Optional[Unstable]:
+    """The first conjugator whose torus refutes the pair, or None.
+
+    The test at a torus sees only the supports of the conjugated pair, so
+    ``contained`` collects the support pairs already shown contained and
+    each of them is tested once; the first refuting conjugator is the same.
+    """
+    for sigma in sigmas:
+        q = conjugate_pair(p, sigma)
+        key = (q.v.support(), q.w.support())
+        if key not in contained:
+            res = nss_fixed_torus(q)
+            if not res:
+                return Unstable(sigma, res.witness, res.futaki)
+            contained.add(key)
+    return None
+
+
 def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -> Verdict:
     """Semi-decision over all maximal tori, deterministic under the seed.
 
     Binary-form pairs over SL(2) are decided exactly first.  Otherwise the
     fixed torus and ``samples`` random conjugates are tested in order and
     the first refutation wins; exhaustion is reported as NotRefuted, never
-    as a proof.
+    as a proof.  The polytope test at a torus depends only on the supports
+    of the conjugated pair, so each distinct support pair is tested once
+    per call; ``NotRefuted.tori_tested`` still counts every torus swept,
+    since each one was decided exactly.
 
     ``decider=False`` turns the exact binary-form shortcut off, so such
     pairs run through the conjugate sweep like any others; the sweep still
@@ -250,10 +271,9 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
         if decider and binaryforms.sl2_pair_nss(f, g):
             return ProvenSemistable("sl2-binary-forms")
         candidates = [identity_matrix(2)] + _sl2_refutation_conjugators(f, g, rng)
-        for sigma in candidates:
-            res = nss_fixed_torus(conjugate_pair(p, sigma))
-            if not res:
-                return Unstable(sigma, res.witness, res.futaki)
+        refuted = _first_refutation(p, candidates, set())
+        if refuted is not None:
+            return refuted
         if decider:
             return Unstable(
                 None,
@@ -265,12 +285,9 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
     fixed = nss_fixed_torus(p)
     if not fixed:
         return Unstable(identity_matrix(p.N + 1), fixed.witness, fixed.futaki)
-    for _ in range(samples):
-        sigma = random_conjugator(rng, p.N + 1)
-        res = nss_fixed_torus(conjugate_pair(p, sigma))
-        if not res:
-            return Unstable(sigma, res.witness, res.futaki)
-    return NotRefuted(samples + 1)
+    sigmas = (random_conjugator(rng, p.N + 1) for _ in range(samples))
+    refuted = _first_refutation(p, sigmas, {(p.v.support(), p.w.support())})
+    return refuted or NotRefuted(samples + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Supported shapes: symmetric powers in the monomial basis, wedge powers in the
 sorted-subset basis, pure tensor products of those, and the trivial module.
-All actions are computed by exact substitution and expansion over ``Fraction``.
+All actions are computed by exact substitution and expansion in integers,
+with one division restoring the rational coefficients.
 The Weyl group is the full set of coordinate permutations.
 
 Vectors are stored with coefficients keyed by basis element, not by weight:
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -164,7 +166,8 @@ def _shape_basis(shape: Shape, n: int) -> list:
         if shape.degree > n:
             raise ValueError("wedge degree exceeds the number of variables")
         return list(itertools.combinations(range(n), shape.degree))
-    assert isinstance(shape, Tensor)
+    if not isinstance(shape, Tensor):
+        raise ValueError("no basis implemented for shape %r" % (shape,))
     factor_bases = [_shape_basis(f, n) for f in shape.factors]
     return [tuple(k) for k in itertools.product(*factor_bases)]
 
@@ -176,7 +179,8 @@ def _key_weight(shape: Shape, n: int, key) -> tuple[int, ...]:
         return tuple(key)
     if isinstance(shape, Wedge):
         return tuple(1 if i in key else 0 for i in range(n))
-    assert isinstance(shape, Tensor)
+    if not isinstance(shape, Tensor):
+        raise ValueError("no weights implemented for shape %r" % (shape,))
     total = [0] * n
     for f, k in zip(shape.factors, key):
         for i, c in enumerate(_key_weight(f, n, k)):
@@ -264,10 +268,6 @@ def weight_polytope(v: WeightedVector) -> LatticePolytope:
 # matrix action
 
 
-def _as_matrix(sigma: Sequence[Sequence]) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in sigma)
-
-
 def matrix_action(
     sigma: Sequence[Sequence], v: WeightedVector
 ) -> WeightedVector:
@@ -275,81 +275,77 @@ def matrix_action(
 
     The action substitutes columns for basis vectors: sigma sends e_i to
     sum_j sigma[j][i] e_j, then Sym keys expand multiplicatively, Wedge keys
-    expand through minors, and Tensor keys factorwise.
+    expand through minors, and Tensor keys factorwise.  It runs in integers:
+    sigma is cleared once to an integer matrix over one common denominator
+    m, the coefficients of v over one denominator q, and every image
+    coefficient is homogeneous of the shape's degree h in the matrix
+    entries, so one division by q * m**h restores it.
 
     Raises:
         ValueError: wrong matrix size, determinant not one, or a shape
             without an implemented action.
     """
     mod = v.module
-    mat = _as_matrix(sigma)
     n = mod.n_vars
-    if len(mat) != n or any(len(row) != n for row in mat):
+    if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
-    if _linalg.det(mat) != 1:
+    [flat], m = _linalg.int_rows([[Fraction(x) for row in sigma for x in row]])
+    mat = [flat[i * n : (i + 1) * n] for i in range(n)]
+    if _linalg.echelon(mat[:])[1] != m**n:
         raise ValueError("matrix determinant must be exactly 1")
+    [cs], q = _linalg.int_rows([[c for _, c in v.coeffs]])
     out: dict = {}
-    for key, c in v.coeffs:
+    for (key, _), c in zip(v.coeffs, cs):
         for new_key, a in _key_action(mod.shape, n, mat, key).items():
-            acc = out.get(new_key, Fraction(0)) + c * a
-            if acc == 0:
-                out.pop(new_key, None)
-            else:
-                out[new_key] = acc
-    if not out:
+            out[new_key] = out.get(new_key, 0) + c * a
+    den = q * m ** _degree(mod.shape)
+    coeffs = tuple((k, Fraction(a, den)) for k, a in out.items() if a)
+    if not coeffs:
         raise AssertionError("invertible action produced zero")
-    return WeightedVector(mod, tuple(out.items()))
+    return WeightedVector(mod, coeffs)
 
 
-def _key_action(shape: Shape, n: int, mat: Matrix, key) -> dict:
+def _degree(shape: Shape) -> int:
+    """Degree of the action's coefficients as polynomials in the entries."""
+    if isinstance(shape, Tensor):
+        return sum(_degree(f) for f in shape.factors)
+    return 0 if isinstance(shape, Trivial) else shape.degree
+
+
+def _key_action(shape: Shape, n: int, mat: list[list[int]], key) -> dict:
     if isinstance(shape, Trivial):
-        return {(): Fraction(1)}
+        return {(): 1}
     if isinstance(shape, Sym):
-        poly = {(0,) * n: Fraction(1)}
+        poly = {(0,) * n: 1}
         for i, e in enumerate(key):
             for _ in range(e):
-                poly = _poly_mul_linear(poly, [mat[j][i] for j in range(n)], n)
+                poly = _poly_mul_linear(poly, [row[i] for row in mat])
         return poly
     if isinstance(shape, Wedge):
-        k = len(key)
         out = {}
-        for rows in itertools.combinations(range(n), k):
-            minor = [[mat[r][c] for c in key] for r in rows]
-            d = _linalg.det(minor)
-            if d != 0:
+        for rows in itertools.combinations(range(n), len(key)):
+            d = _linalg.echelon([[mat[r][c] for c in key] for r in rows])[1]
+            if d:
                 out[rows] = d
         return out
     if isinstance(shape, Tensor):
         parts = [_key_action(f, n, mat, k) for f, k in zip(shape.factors, key)]
-        out = {}
-        for combo in itertools.product(*(p.items() for p in parts)):
-            keys = tuple(k for k, _ in combo)
-            coeff = Fraction(1)
-            for _, c in combo:
-                coeff *= c
-            acc = out.get(keys, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(keys, None)
-            else:
-                out[keys] = acc
-        return out
+        return {
+            tuple(k for k, _ in combo): math.prod(c for _, c in combo)
+            for combo in itertools.product(*(p.items() for p in parts))
+        }
     raise ValueError("no action implemented for shape %r" % (shape,))
 
 
-def _poly_mul_linear(poly: dict, linear: Sequence[Fraction], n: int) -> dict:
+def _poly_mul_linear(poly: dict, linear: Sequence[int]) -> dict:
     out: dict = {}
+    terms = [(j, a) for j, a in enumerate(linear) if a]
     for exp, c in poly.items():
-        for j in range(n):
-            if linear[j] == 0:
-                continue
+        for j, a in terms:
             new = list(exp)
             new[j] += 1
             new = tuple(new)
-            acc = out.get(new, Fraction(0)) + c * linear[j]
-            if acc == 0:
-                out.pop(new, None)
-            else:
-                out[new] = acc
+            out[new] = out.get(new, 0) + c * a
     return out
 
 

@@ -88,11 +88,9 @@ def extension_criterion(data: ToricData) -> ExtensionResult:
         return ExtensionResult(True)
     zero = (0,) * data.dim
     outer = hull((zero,) + data.B)
-    res = contains(outer, hull(rest))
-    if res:
+    sep = contains(outer, hull(rest)).separator
+    if sep is None:
         return ExtensionResult(True)
-    sep = res.separator
-    assert sep is not None
     u = tuple(_linalg.primitive([-c for c in sep.coeffs]))
     if star_condition(data, u):
         raise WitnessError("separator failed to violate the star condition")
@@ -174,11 +172,9 @@ def _face_functional(
             col = [Fraction(0)] * len(rows)
             col[i] = Fraction(-1)
             columns.append(tuple(col))
-    res = solve_phase1(columns, tuple(rhs))
-    if not res.feasible:
+    x = solve_phase1(columns, tuple(rhs)).x
+    if x is None:
         return None
-    x = res.x
-    assert x is not None
     u_frac = [x[j] - x[dim + j] for j in range(dim)]
     return tuple(_linalg.primitive(u_frac))
 

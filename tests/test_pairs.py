@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstab import pairs
+from pairstab import binaryforms, pairs
 from pairstab.lattice import Cocharacter, HeightZeroError, WitnessError, contains
 from pairstab.pairs import (
     NotRefuted,
@@ -13,6 +15,8 @@ from pairstab.pairs import (
     ProvenSemistable,
     TorusCharacter,
     Unstable,
+    _as_binary_form,
+    _sl2_refutation_conjugators,
     characteristic,
     conjugate_pair,
     futaki_character_torus,
@@ -23,7 +27,16 @@ from pairstab.pairs import (
     random_conjugator,
     weight_1ps,
 )
-from pairstab.rep import Module, Sym, Tensor, Trivial, Wedge, vector, weight_polytope
+from pairstab.rep import (
+    Module,
+    Sym,
+    Tensor,
+    Trivial,
+    Wedge,
+    matrix_action,
+    vector,
+    weight_polytope,
+)
 
 
 def _triv():
@@ -245,3 +258,218 @@ def test_random_conjugator_det_one():
     for n in (2, 3):
         for _ in range(20):
             assert det(random_conjugator(rng, n)) == 1
+
+
+def _random_conjugator_fraction(rng, n):
+    """The Fraction-arithmetic ``random_conjugator``, kept verbatim."""
+    mat = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(3, 6)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        # right-multiply by I + c E_ij
+        for r in range(n):
+            mat[r][j] += c * mat[r][i]
+    return tuple(tuple(row) for row in mat)
+
+
+def test_random_conjugator_matches_fraction_build():
+    new, old = random.Random(11), random.Random(11)
+    for k in range(600):
+        n = 2 + k % 3
+        assert repr(random_conjugator(new, n)) == repr(_random_conjugator_fraction(old, n))
+    assert new.random() == old.random()
+
+
+# ---------------------------------------------------------------------------
+# the support-memoised sweep against the sweep without the memo
+
+
+def _nss_check_unmemoised(p, samples=64, seed=0, decider=True):
+    """``nss_check`` as it stood before the support memo, kept verbatim:
+    every torus of the sweep runs ``nss_fixed_torus``."""
+    rng = random.Random(seed)
+    f = _as_binary_form(p.v)
+    g = _as_binary_form(p.w)
+    if f is not None and g is not None:
+        if decider and binaryforms.sl2_pair_nss(f, g):
+            return ProvenSemistable("sl2-binary-forms")
+        candidates = [identity_matrix(2)] + _sl2_refutation_conjugators(f, g, rng)
+        for sigma in candidates:
+            res = nss_fixed_torus(conjugate_pair(p, sigma))
+            if not res:
+                return Unstable(sigma, res.witness, res.futaki)
+        if decider:
+            return Unstable(
+                None,
+                None,
+                None,
+                "order criterion fails on a root class with no rational point",
+            )
+        return NotRefuted(len(candidates))
+    fixed = nss_fixed_torus(p)
+    if not fixed:
+        return Unstable(identity_matrix(p.N + 1), fixed.witness, fixed.futaki)
+    for _ in range(samples):
+        sigma = random_conjugator(rng, p.N + 1)
+        res = nss_fixed_torus(conjugate_pair(p, sigma))
+        if not res:
+            return Unstable(sigma, res.witness, res.futaki)
+    return NotRefuted(samples + 1)
+
+
+# irreducible quadratics over Q, constant coefficient first
+_QUADRATICS = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (-3, 0, 1), (2, 0, 1))
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _binary_vector(rng, degree, quadratic):
+    """A binary form of the given degree from its roots: rational ones (so
+    repeated roots are common), irreducible quadratic factors when
+    ``quadratic``, and sometimes a root at infinity; degree 0 is sometimes
+    the trivial module instead."""
+    if degree == 0 and rng.random() < 0.5:
+        return vector(Module(1, Trivial()), {(): rng.choice((1, 2))})
+    coeffs = [Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 3)))]
+    left = degree - (rng.random() < 0.25 and degree > 0)
+    while left:
+        if quadratic and left >= 2 and rng.random() < 0.5:
+            coeffs = _poly_mul(coeffs, rng.choice(_QUADRATICS))
+            left -= 2
+        else:
+            coeffs = _poly_mul(coeffs, [-Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))), 1])
+            left -= 1
+    return vector(
+        Module(1, Sym(degree)), {(i, degree - i): c for i, c in enumerate(coeffs) if c}
+    )
+
+
+def _sl2_pair(rng, quadratic):
+    dg = rng.randint(1, 6)
+    return Pair(
+        _binary_vector(rng, rng.randint(0, dg), quadratic),
+        _binary_vector(rng, dg, quadratic),
+    )
+
+
+def _sl3_vector(rng, d, size):
+    if d == 0:
+        return vector(Module(2, Trivial()), {(): 1})
+    keys = [k for k in itertools.product(range(d + 1), repeat=3) if sum(k) == d]
+    picked = rng.sample(keys, min(size, len(keys)))
+    return vector(
+        Module(2, Sym(d)),
+        {k: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2))) for k in picked},
+    )
+
+
+def _sl3_pair(rng):
+    return Pair(
+        _sl3_vector(rng, rng.randint(0, 3), rng.randint(1, 3)),
+        _sl3_vector(rng, rng.randint(1, 3), rng.randint(1, 4)),
+    )
+
+
+def _moved_conic(rng):
+    """(1, smooth conic) moved by a random SL(3) element: a smooth conic is
+    stable, so no torus refutes the pair."""
+    fermat = vector(Module(2, Sym(2)), {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
+    w = matrix_action(random_conjugator(rng, 3), fermat)
+    return Pair(vector(Module(2, Trivial()), {(): 1}), w)
+
+
+def _sweep_cases(seed):
+    """1,001 pinned (pair, nss_check keywords) cases: 100 SL(2) pairs with
+    rational or irrational roots under both ``decider`` settings, 795 SL(3)
+    ``Sym(<=3)`` pairs (most on a short sweep) and 6 moved smooth conics."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(100):
+        p = _sl2_pair(rng, i % 2 == 1)
+        cases += [(p, {"decider": True}), (p, {"decider": False})]
+    for i in range(795):
+        cases.append((_sl3_pair(rng), {"samples": 64 if i % 25 == 0 else 4, "seed": i}))
+    cases += [(_moved_conic(rng), {}) for _ in range(6)]
+    return cases
+
+
+def test_memoised_sweep_matches_unmemoised_sweep():
+    outcomes = {}
+    for p, kwargs in _sweep_cases(606):
+        verdict = nss_check(p, **kwargs)
+        assert repr(verdict) == repr(_nss_check_unmemoised(p, **kwargs))
+        kind = (p.N, type(verdict).__name__, getattr(verdict, "witness", 0) is None)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+        if p.w.module == Module(2, Sym(2)) and not kwargs:
+            assert verdict == NotRefuted(65)
+    # refutations with and without a witness, proofs and exhausted sweeps
+    assert outcomes[(1, "Unstable", False)] >= 50
+    assert outcomes[(1, "Unstable", True)] >= 5
+    assert outcomes[(1, "ProvenSemistable", False)] >= 20
+    assert outcomes[(1, "NotRefuted", False)] >= 20
+    assert outcomes[(2, "Unstable", False)] >= 500
+    assert outcomes[(2, "NotRefuted", False)] >= 100
+
+
+def test_fixed_torus_runs_once_per_support_key(monkeypatch):
+    def key(q):
+        return q.v.support(), q.w.support()
+
+    tested, swept = [], []
+
+    def counting_test(q):
+        tested.append(key(q))
+        return nss_fixed_torus(q)
+
+    def counting_conjugate(p, sigma):
+        q = conjugate_pair(p, sigma)
+        swept.append(key(q))
+        return q
+
+    monkeypatch.setattr(pairs, "nss_fixed_torus", counting_test)
+    monkeypatch.setattr(pairs, "conjugate_pair", counting_conjugate)
+    rng = random.Random(33)
+    exhausted = 0
+    for p, kwargs in [(_moved_conic(rng), {}) for _ in range(3)] + [
+        (_sl2_pair(rng, i % 2 == 1), {"decider": False}) for i in range(40)
+    ]:
+        tested.clear()
+        swept.clear()
+        verdict = nss_check(p, **kwargs)
+        # every support pair the sweep met was tested, and tested once
+        assert len(tested) == len(set(tested))
+        assert set(swept) <= set(tested)
+        if isinstance(verdict, NotRefuted):
+            assert len(tested) < verdict.tori_tested
+            exhausted += 1
+    assert exhausted >= 10
+
+
+def _verdict_digest(cases):
+    h = hashlib.sha256()
+    for p, decider in cases:
+        verdict = nss_check(p, decider=decider)
+        conj = None
+        if isinstance(verdict, Unstable) and verdict.conjugator is not None:
+            conj = conjugate_pair(p, verdict.conjugator)
+        h.update(repr((verdict, conj)).encode())
+    return h.hexdigest()
+
+
+def test_verdicts_and_conjugated_pairs_match_pinned_digest():
+    # SHA-256 of the repr of every (verdict, conjugated pair) on a pool of
+    # 328 pairs, as computed before the support memo and the integer action;
+    # any change of verdict, conjugator, witness or futaki value moves it
+    rng = random.Random(2024)
+    cases = [(_sl2_pair(rng, i % 2 == 1), i % 4 < 2) for i in range(200)]
+    cases += [(_sl3_pair(rng), True) for _ in range(120)]
+    cases += [(_moved_conic(rng), True) for _ in range(8)]
+    assert _verdict_digest(cases) == (
+        "f310b4aec578c8c1925a0869337fad724718ecce45373888f3079e9f13b87240"
+    )

@@ -1,16 +1,22 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstab import _linalg
 from pairstab.lattice import contains, hull
+from pairstab.pairs import random_conjugator
 from pairstab.rep import (
     Module,
     Sym,
     Tensor,
     Trivial,
     Wedge,
+    WeightedVector,
     attainable_polytopes,
     dominance_leq,
     matrix_action,
@@ -210,3 +216,161 @@ def test_diagonal_action_fixes_weight_polytope():
         moved = matrix_action(sigma, v)
         assert moved.support() == v.support()
         assert weight_polytope(moved) == weight_polytope(v)
+
+
+# ---------------------------------------------------------------------------
+# the integer action against the Fraction action it replaced, kept verbatim
+
+
+def _matrix_action_fraction(sigma, v):
+    mod = v.module
+    mat = tuple(tuple(Fraction(x) for x in row) for row in sigma)
+    n = mod.n_vars
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise ValueError("matrix must be %d x %d" % (n, n))
+    if _linalg.det(mat) != 1:
+        raise ValueError("matrix determinant must be exactly 1")
+    out: dict = {}
+    for key, c in v.coeffs:
+        for new_key, a in _key_action_fraction(mod.shape, n, mat, key).items():
+            acc = out.get(new_key, Fraction(0)) + c * a
+            if acc == 0:
+                out.pop(new_key, None)
+            else:
+                out[new_key] = acc
+    if not out:
+        raise AssertionError("invertible action produced zero")
+    return WeightedVector(mod, tuple(out.items()))
+
+
+def _key_action_fraction(shape, n, mat, key):
+    if isinstance(shape, Trivial):
+        return {(): Fraction(1)}
+    if isinstance(shape, Sym):
+        poly = {(0,) * n: Fraction(1)}
+        for i, e in enumerate(key):
+            for _ in range(e):
+                poly = _poly_mul_linear_fraction(poly, [mat[j][i] for j in range(n)], n)
+        return poly
+    if isinstance(shape, Wedge):
+        k = len(key)
+        out = {}
+        for rows in itertools.combinations(range(n), k):
+            minor = [[mat[r][c] for c in key] for r in rows]
+            d = _linalg.det(minor)
+            if d != 0:
+                out[rows] = d
+        return out
+    if isinstance(shape, Tensor):
+        parts = [_key_action_fraction(f, n, mat, k) for f, k in zip(shape.factors, key)]
+        out = {}
+        for combo in itertools.product(*(p.items() for p in parts)):
+            keys = tuple(k for k, _ in combo)
+            coeff = Fraction(1)
+            for _, c in combo:
+                coeff *= c
+            acc = out.get(keys, Fraction(0)) + coeff
+            if acc == 0:
+                out.pop(keys, None)
+            else:
+                out[keys] = acc
+        return out
+    raise ValueError("no action implemented for shape %r" % (shape,))
+
+
+def _poly_mul_linear_fraction(poly, linear, n):
+    out: dict = {}
+    for exp, c in poly.items():
+        for j in range(n):
+            if linear[j] == 0:
+                continue
+            new = list(exp)
+            new[j] += 1
+            new = tuple(new)
+            acc = out.get(new, Fraction(0)) + c * linear[j]
+            if acc == 0:
+                out.pop(new, None)
+            else:
+                out[new] = acc
+    return out
+
+
+def _shapes(n):
+    out = [Trivial()] + [Sym(d) for d in range(4)] + [Wedge(k) for k in range(1, n + 1)]
+    out += [Tensor((Sym(2), Wedge(k))) for k in (1, n - 1)]
+    out += [Tensor((Sym(1), Sym(2))), Tensor((Wedge(1), Wedge(n - 1), Sym(1)))]
+    return out
+
+
+def _rational(rng):
+    return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4, 7)), rng.choice((1, 1, 2, 3, 5)))
+
+
+def _rational_sl(rng, n):
+    """Determinant-one matrix with rational entries: a product of rational
+    elementary matrices and a diagonal torus element, or the boundary curve
+    ((t, 1/t^2), (0, 1/t)) of the ``boundary`` example for n = 2."""
+    if n == 2 and rng.random() < 0.2:
+        t = _rational(rng)
+        return ((t, 1 / t**2), (Fraction(0), 1 / t))
+    diag = [_rational(rng) for _ in range(n - 1)]
+    diag.append(1 / math.prod(diag))
+    mat = [[diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 4)):
+        i, j = rng.sample(range(n), 2)
+        c = _rational(rng)
+        for r in range(n):
+            mat[r][j] += c * mat[r][i]
+    return tuple(tuple(row) for row in mat)
+
+
+def _action_cases(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 2 + k % 3
+        mod = Module(n - 1, rng.choice(_shapes(n)))
+        keys = rng.sample(mod.basis, min(len(mod.basis), rng.randint(1, 4)))
+        v = vector(mod, {key: _rational(rng) for key in keys})
+        kind = k % 10
+        if kind < 4:
+            sigma = random_conjugator(rng, n)
+        elif kind < 8:
+            sigma = _rational_sl(rng, n)
+        elif kind < 9:
+            # ((1, 0), (p/q, 1)) and its larger analogues
+            sigma = tuple(
+                tuple(Fraction(int(i == j)) if i <= j else _rational(rng) for j in range(n))
+                for i in range(n)
+            )
+        else:
+            # determinant -1, 2 or 1/3: both actions must refuse it
+            scale = rng.choice((Fraction(-1), Fraction(2), Fraction(1, 3)))
+            rows = [list(row) for row in random_conjugator(rng, n)]
+            rows[0] = [scale * x for x in rows[0]]
+            sigma = tuple(tuple(row) for row in rows)
+        yield sigma, v
+
+
+def test_integer_action_matches_fraction_action():
+    refused = shapes = 0
+    seen = set()
+    for sigma, v in _action_cases(314, 1200):
+        try:
+            expected = _matrix_action_fraction(sigma, v)
+        except ValueError:
+            with pytest.raises(ValueError, match="determinant"):
+                matrix_action(sigma, v)
+            refused += 1
+            continue
+        assert repr(matrix_action(sigma, v)) == repr(expected)
+        seen.add((v.module.N, shape_name(v.module.shape)))
+    assert refused >= 100
+    assert len(seen) >= 25
+
+
+def test_boundary_example_curve_is_unchanged():
+    # the 1/t^2 curve of ``cli._example_boundary``, through both actions
+    v = vector(Module(1, Sym(3)), {(2, 1): 1})
+    for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+        sigma = ((t, Fraction(1) / t**2), (Fraction(0), Fraction(1) / t))
+        assert repr(matrix_action(sigma, v)) == repr(_matrix_action_fraction(sigma, v))
