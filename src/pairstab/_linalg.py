@@ -10,7 +10,7 @@ This is the package's one elimination and denominator-clearing kernel:
 - ``koszul``: torsion (one ``echelon`` per map), ``ranks()`` and the
   ``d∘d = 0`` check;
 - ``binaryforms``: the Sylvester resultant (``det``) and the integer
-  polynomial of the rational root test (``primitive``);
+  polynomials of the rational root test and Yun's algorithm (``primitive``);
 - ``rep``: the integer matrix and coefficients of ``matrix_action``
   (``int_rows``), its determinant check and wedge minors (``echelon``), and
   the SL(3) contraction kernel (``nullspace``);
@@ -19,7 +19,8 @@ This is the package's one elimination and denominator-clearing kernel:
   coordinates and the KKT system of ``min_norm_point`` (``solve``), and
   the facet normals (``primitive``);
 - ``toric`` and ``pairs``: integer functionals and cocharacters cleared
-  from rational separators (``primitive``).
+  from rational separators, and the forms and points of the SL(2) order
+  test (``primitive``).
 """
 
 from __future__ import annotations

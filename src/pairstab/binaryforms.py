@@ -21,6 +21,7 @@ d = 2 gives -a2*(a1^2 - 4*a0*a2) and the monic cubic z^3 + p*z + q gives
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -122,81 +123,93 @@ def discriminant(P: BinaryForm) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (lists of Fractions, low to high, trimmed)
+# dense univariate helpers (lists of ints, low to high): primitive pseudo-
+# remainder gcds (Collins 1967, Brown 1971), exact quotients (Gauss's lemma)
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _primitive(p: Sequence[int]) -> list[int]:
+    """p without trailing zeros, divided by its content."""
+    while p and not p[-1]:
+        p = p[:-1]
+    g = math.gcd(*p) or 1
+    return [c // g for c in p]
 
 
-def _monic(p: list[Fraction]) -> list[Fraction]:
-    if not p:
-        return p
-    lead = p[-1]
-    return [c / lead for c in p]
+def _monic(p: list[int]) -> list[Fraction]:
+    return [Fraction(c, p[-1]) for c in p]
 
 
-def _mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
+def _deriv(p: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
 
 
-def _divmod(p: list[Fraction], q: list[Fraction]):
-    q = _trim(q[:])
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = _trim(p[:])
-    quot = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
-    while rem and len(rem) >= len(q):
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        _trim(rem)
-    return _trim(quot), rem
+def _exquo(p: list[int], q: list[int]) -> list[int]:
+    """p / q for a primitive divisor q of p; zero top coefficients of p stay."""
+    r, out = p[:], []
+    for shift in range(len(p) - len(q), -1, -1):
+        c = r[shift + len(q) - 1] // q[-1]
+        out.append(c)
+        for i, x in enumerate(q):
+            r[shift + i] -= c * x
+    return out[::-1]
 
 
-def _gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(p[:]), _trim(q[:])
+def _gcd(p: list[int], q: list[int]) -> list[int]:
+    """Primitive gcd; a zero argument is an empty list."""
+    a, b = _primitive(p), _primitive(q)
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a)
+        r = a
+        while len(r) >= len(b):
+            f, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * c for c in r[:-1]]
+            for i, c in enumerate(b[:-1]):
+                r[shift + i] -= f * c
+        a, b = b, _primitive(r)
+    return a
 
 
-def _deriv(p: list[Fraction]) -> list[Fraction]:
-    return _trim([i * c for i, c in enumerate(p)][1:])
+def _yun(p: Sequence) -> list[tuple[list[int], int]]:
+    """Yun's algorithm (1976) on the rational polynomial p, in integers:
+    primitive squarefree factors, whose monic forms are the unique ones."""
+    b = _primitive(_linalg.primitive(p))
+    if len(b) <= 1:
+        return []
+    a = _gcd(b, _deriv(b))
+    b, c = _exquo(b, a), _exquo(_deriv(b), a)
+    out, i = [], 1
+    while len(b) > 1:
+        d = [x - y for x, y in itertools.zip_longest(c, _deriv(b), fillvalue=0)]
+        g = _gcd(b, d)
+        if len(g) > 1:
+            out.append((g, i))
+        b, c = _exquo(b, g), _exquo(d, g)
+        i += 1
+    return out
 
 
 def squarefree_decomposition(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
     """Yun's algorithm: monic squarefree factors with multiplicities."""
-    p = _monic(_trim(p[:]))
-    if len(p) <= 1:
-        return []
-    out = []
-    a = _gcd(p, _deriv(p))
-    b = _divmod(p, a)[0]
-    c = _divmod(_deriv(p), a)[0]
-    d = _trim([x - y for x, y in itertools.zip_longest(c, _deriv(b), fillvalue=Fraction(0))])
-    i = 1
-    while len(b) > 1:
-        g = _gcd(b, d) if d else _monic(b)
-        if len(g) > 1:
-            out.append((g, i))
-        b = _divmod(b, g)[0]
-        c = _divmod(d, g)[0] if d else []
-        d = _trim(
-            [x - y for x, y in itertools.zip_longest(c, _deriv(b), fillvalue=Fraction(0))]
-        )
-        i += 1
-    return out
+    return [(_monic(g), i) for g, i in _yun(p)]
+
+
+def order_at(a: Sequence[int], p0: int, p1: int) -> int:
+    """Order of the integer form sum a_i x0^i x1^(d-i) at the point (p0 : p1)
+    of coprime integers ((r : 1) is z = r, (1 : 0) infinity): how often
+    p1 x0 - p0 x1 divides it, by exact integer division (Gauss's lemma)."""
+    if not p0:
+        return next(i for i, c in enumerate(a) if c)
+    k = 0
+    while len(a) > 1:
+        q, b = [], 0
+        for c in a[:-1]:
+            b, r = divmod(p1 * b - c, p0)
+            if r:
+                return k
+            q.append(b)
+        if a[-1] != p1 * b:
+            return k
+        a, k = q, k + 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +280,21 @@ def sl2_order_violation(f: BinaryForm, g: BinaryForm) -> Optional[OrderViolation
         return OrderViolation("degree", bound, d, e)
     if g.ord_infinity - f.ord_infinity > bound:
         return OrderViolation("infinity", bound, g.ord_infinity, f.ord_infinity)
-    f_entries = ord_profile(f).affine_entries()
-    for g_fac, j in ord_profile(g).affine_entries():
+    f_entries = _yun(f.affine())
+    for g_fac, j in _yun(g.affine()):
         if j <= bound:
             continue
-        remaining = list(g_fac)
+        remaining = g_fac
         for f_fac, k in f_entries:
             if len(remaining) <= 1:
                 break
-            common = _gcd(remaining, list(f_fac))
+            common = _gcd(remaining, f_fac)
             if len(common) > 1:
                 if j - k > bound:
-                    return OrderViolation("root-class", bound, j, k, tuple(common))
-                remaining = _divmod(remaining, common)[0]
-        if len(remaining) > 1 and j > bound:
-            return OrderViolation("root-class", bound, j, 0, tuple(remaining))
+                    return OrderViolation("root-class", bound, j, k, tuple(_monic(common)))
+                remaining = _exquo(remaining, common)
+        if len(remaining) > 1:
+            return OrderViolation("root-class", bound, j, 0, tuple(_monic(remaining)))
     return None
 
 
@@ -314,7 +327,7 @@ def rational_roots(f: BinaryForm) -> list[Fraction]:
             for cand in (Fraction(pnum, q), Fraction(-pnum, q)):
                 if cand in roots:
                     continue
-                if _eval_poly(p, cand) == 0:
+                if order_at(ints, cand.numerator, cand.denominator):
                     roots.append(cand)
     return sorted(roots)
 
@@ -329,13 +342,6 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-def _eval_poly(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import _linalg, binaryforms
 from .lattice import (
@@ -40,6 +40,7 @@ from .rep import (
     Sym,
     Trivial,
     WeightedVector,
+    image_supports,
     matrix_action,
     weight_polytope,
 )
@@ -138,8 +139,8 @@ class Unstable:
     carrying the diagonal torus to the refuting one (identity when the
     diagonal torus itself refutes).  The exact binary-form decider can also
     refute through a root class with no rational representative; such
-    verdicts carry the order-profile evidence in ``detail`` instead of a
-    witness.
+    verdicts carry no witness, only a fixed sentence in ``detail``
+    (``binaryforms.sl2_order_violation`` names the violating class).
     """
 
     conjugator: Optional[Matrix]
@@ -206,26 +207,36 @@ def _as_binary_form(v: WeightedVector) -> Optional[binaryforms.BinaryForm]:
 
 def _sl2_refutation_conjugators(
     f: binaryforms.BinaryForm, g: binaryforms.BinaryForm, rng: random.Random
-) -> list[Matrix]:
+) -> Iterator[Matrix]:
     """Candidate conjugators aimed at the destabilizing root classes.
 
     A violating root must be mapped exactly onto 0 or infinity before the
-    diagonal torus can see it, so rational roots of either form pick
-    targeted Moebius conjugators; random elementary products mop up the
-    generic cases (support widening when degrees mismatch).
+    diagonal torus can see it, so after the identity and the flip, rational
+    roots of either form pick targeted Moebius conjugators; six shears and
+    24 random elementary products mop up the generic cases (support widening
+    when degrees mismatch).  Each is made only when the sweep reaches it.
     """
-    one = Fraction(1)
-    zero = Fraction(0)
-    flip = ((zero, -one), (one, zero))
-    out: list[Matrix] = [flip]
+    one, zero = Fraction(1), Fraction(0)
+    yield identity_matrix(2)
+    yield ((zero, -one), (one, zero))
     roots = set(binaryforms.rational_roots(g)) | set(binaryforms.rational_roots(f))
     for r in sorted(roots):
-        out.append(((one, zero), (r, one)))
+        yield ((one, zero), (r, one))
     for c in (1, -1, 2, -2, 3, -3):
-        out.append(((one, zero), (Fraction(c), one)))
+        yield ((one, zero), (Fraction(c), one))
     for _ in range(24):
-        out.append(random_conjugator(rng, 2))
-    return out
+        yield random_conjugator(rng, 2)
+
+
+def _order_refutes(f: list[int], g: list[int], sigma: Matrix) -> bool:
+    """Whether the torus of sigma refutes the binary forms f, g (as integer
+    lists).  ``matrix_action`` substitutes sigma^T x, so that torus fixes the
+    points given by sigma's rows, and N(f) lies in N(g) there iff
+    2 (ord g - ord f) <= deg g - deg f at both (deg f > deg g too)."""
+    return any(
+        2 * (binaryforms.order_at(g, *pt) - binaryforms.order_at(f, *pt)) > len(g) - len(f)
+        for pt in map(_linalg.primitive, sigma)
+    )
 
 
 def _first_refutation(
@@ -234,14 +245,13 @@ def _first_refutation(
     """The first conjugator whose torus refutes the pair, or None.
 
     The test at a torus sees only the supports of the conjugated pair, so
-    ``contained`` collects the support pairs already shown contained and
-    each of them is tested once; the first refuting conjugator is the same.
+    ``contained`` collects the support pairs already shown contained, and
+    only a new one is conjugated and tested; the first refuter is the same.
     """
     for sigma in sigmas:
-        q = conjugate_pair(p, sigma)
-        key = (q.v.support(), q.w.support())
+        key = image_supports(sigma, (p.v, p.w))
         if key not in contained:
-            res = nss_fixed_torus(q)
+            res = nss_fixed_torus(conjugate_pair(p, sigma))
             if not res:
                 return Unstable(sigma, res.witness, res.futaki)
             contained.add(key)
@@ -251,37 +261,39 @@ def _first_refutation(
 def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -> Verdict:
     """Semi-decision over all maximal tori, deterministic under the seed.
 
-    Binary-form pairs over SL(2) are decided exactly first.  Otherwise the
-    fixed torus and ``samples`` random conjugates are tested in order and
-    the first refutation wins; exhaustion is reported as NotRefuted, never
-    as a proof.  The polytope test at a torus depends only on the supports
-    of the conjugated pair, so each distinct support pair is tested once
-    per call; ``NotRefuted.tori_tested`` still counts every torus swept,
-    since each one was decided exactly.
+    Binary-form pairs over SL(2) are decided exactly first.  An unstable
+    one runs the polytope test, which builds the witness, only at the first
+    candidate torus an integer order test flags (WitnessError if it does
+    not refute there); with none flagged, the violating root class has no
+    rational point.  Otherwise the fixed torus and ``samples`` random
+    conjugates are tested in order and the first refutation wins;
+    exhaustion is reported as NotRefuted, never as a proof.  Each distinct
+    support pair of a conjugate is tested once per call, as the test sees
+    only those; ``NotRefuted.tori_tested`` still counts every torus swept.
 
-    ``decider=False`` turns the exact binary-form shortcut off, so such
-    pairs run through the conjugate sweep like any others; the sweep still
-    aims conjugators at rational roots.  Meant for testing the criterion
-    against the sweep as an independent oracle.
+    ``decider=False`` turns the exact binary-form shortcut and the order
+    test off, so such pairs run the polytope test on the same candidates
+    like any others: an independent oracle for testing the criterion.
     """
     rng = random.Random(seed)
     f = _as_binary_form(p.v)
     g = _as_binary_form(p.w)
     if f is not None and g is not None:
-        if decider and binaryforms.sl2_pair_nss(f, g):
+        candidates = _sl2_refutation_conjugators(f, g, rng)
+        if not decider:
+            swept = list(candidates)
+            return _first_refutation(p, swept, set()) or NotRefuted(len(swept))
+        if binaryforms.sl2_pair_nss(f, g):
             return ProvenSemistable("sl2-binary-forms")
-        candidates = [identity_matrix(2)] + _sl2_refutation_conjugators(f, g, rng)
-        refuted = _first_refutation(p, candidates, set())
-        if refuted is not None:
-            return refuted
-        if decider:
-            return Unstable(
-                None,
-                None,
-                None,
-                "order criterion fails on a root class with no rational point",
-            )
-        return NotRefuted(len(candidates))
+        fi, gi = _linalg.primitive(f.coeffs), _linalg.primitive(g.coeffs)
+        sigma = next((s for s in candidates if _order_refutes(fi, gi, s)), None)
+        if sigma is None:
+            detail = "order criterion fails on a root class with no rational point"
+            return Unstable(None, None, None, detail)
+        res = nss_fixed_torus(conjugate_pair(p, sigma))
+        if res:
+            raise WitnessError("the order test flagged a torus that does not refute")
+        return Unstable(sigma, res.witness, res.futaki)
     fixed = nss_fixed_torus(p)
     if not fixed:
         return Unstable(identity_matrix(p.N + 1), fixed.witness, fixed.futaki)

@@ -285,24 +285,38 @@ def matrix_action(
         ValueError: wrong matrix size, determinant not one, or a shape
             without an implemented action.
     """
-    mod = v.module
-    n = mod.n_vars
+    [(out, den)] = _int_images(sigma, [v])
+    coeffs = tuple((k, Fraction(a, den)) for k, a in out.items() if a)
+    if not coeffs:
+        raise AssertionError("invertible action produced zero")
+    return WeightedVector(v.module, coeffs)
+
+
+def image_supports(sigma: Sequence[Sequence], vectors: Sequence[WeightedVector]) -> tuple:
+    """The supports of sigma.v for vectors v over one group, from one
+    clearing of sigma; they need only which image coefficients are nonzero."""
+    return tuple(
+        tuple(sorted({v.module.weight_of(k) for k, a in out.items() if a}))
+        for v, (out, _) in zip(vectors, _int_images(sigma, vectors))
+    )
+
+
+def _int_images(sigma: Sequence[Sequence], vectors: Sequence[WeightedVector]) -> Iterable:
+    """(den * sigma.v by basis key, zeros kept, as ints; den) for each v."""
+    n = vectors[0].module.n_vars
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
     [flat], m = _linalg.int_rows([[Fraction(x) for row in sigma for x in row]])
     mat = [flat[i * n : (i + 1) * n] for i in range(n)]
     if _linalg.echelon(mat[:])[1] != m**n:
         raise ValueError("matrix determinant must be exactly 1")
-    [cs], q = _linalg.int_rows([[c for _, c in v.coeffs]])
-    out: dict = {}
-    for (key, _), c in zip(v.coeffs, cs):
-        for new_key, a in _key_action(mod.shape, n, mat, key).items():
-            out[new_key] = out.get(new_key, 0) + c * a
-    den = q * m ** _degree(mod.shape)
-    coeffs = tuple((k, Fraction(a, den)) for k, a in out.items() if a)
-    if not coeffs:
-        raise AssertionError("invertible action produced zero")
-    return WeightedVector(mod, coeffs)
+    for v in vectors:
+        [cs], q = _linalg.int_rows([[c for _, c in v.coeffs]])
+        out: dict = {}
+        for (key, _), c in zip(v.coeffs, cs):
+            for new_key, a in _key_action(v.module.shape, n, mat, key).items():
+                out[new_key] = out.get(new_key, 0) + c * a
+        yield out, q * m ** _degree(v.module.shape)
 
 
 def _degree(shape: Shape) -> int:

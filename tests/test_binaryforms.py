@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from pairstab import _poly
 from pairstab.binaryforms import (
     INFINITY,
+    OrderViolation,
+    OrdProfile,
     chow_polytope_vertices,
     disc_newton_polytope_matches,
     disc_polytope_vertices,
@@ -287,3 +290,180 @@ def test_ord_profile_accounts_degree(roots):
     for fac, m in prof.affine_entries():
         total += (len(fac) - 1) * m
     assert total == f.degree
+
+
+# ---------------------------------------------------------------------------
+# the integer Yun decomposition against the Fraction one it replaced
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _monic(p):
+    if not p:
+        return p
+    lead = p[-1]
+    return [c / lead for c in p]
+
+
+def _divmod(p, q):
+    q = _trim(q[:])
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = _trim(p[:])
+    quot = [Fraction(0)] * max(0, len(rem) - len(q) + 1)
+    while rem and len(rem) >= len(q):
+        shift = len(rem) - len(q)
+        factor = rem[-1] / q[-1]
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        _trim(rem)
+    return _trim(quot), rem
+
+
+def _gcd(p, q):
+    a, b = _trim(p[:]), _trim(q[:])
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _monic(a)
+
+
+def _deriv(p):
+    return _trim([i * c for i, c in enumerate(p)][1:])
+
+
+def _squarefree_decomposition_fraction(p):
+    """The Fraction ``squarefree_decomposition``, kept verbatim."""
+    p = _monic(_trim(p[:]))
+    if len(p) <= 1:
+        return []
+    out = []
+    a = _gcd(p, _deriv(p))
+    b = _divmod(p, a)[0]
+    c = _divmod(_deriv(p), a)[0]
+    d = _trim([x - y for x, y in itertools.zip_longest(c, _deriv(b), fillvalue=Fraction(0))])
+    i = 1
+    while len(b) > 1:
+        g = _gcd(b, d) if d else _monic(b)
+        if len(g) > 1:
+            out.append((g, i))
+        b = _divmod(b, g)[0]
+        c = _divmod(d, g)[0] if d else []
+        d = _trim(
+            [x - y for x, y in itertools.zip_longest(c, _deriv(b), fillvalue=Fraction(0))]
+        )
+        i += 1
+    return out
+
+
+def _ord_profile_fraction(f):
+    """``ord_profile`` on the Fraction decomposition."""
+    entries = [
+        (tuple(fac), mult)
+        for fac, mult in _squarefree_decomposition_fraction(list(f.affine()))
+    ]
+    if f.ord_infinity > 0:
+        entries.append((INFINITY, f.ord_infinity))
+    return OrdProfile(f.degree, tuple(entries))
+
+
+def _sl2_order_violation_fraction(f, g):
+    """The Fraction ``sl2_order_violation``, kept verbatim but for the
+    profile and helper names."""
+    e, d = f.degree, g.degree
+    bound = Fraction(d - e, 2)
+    if e > d:
+        return OrderViolation("degree", bound, d, e)
+    if g.ord_infinity - f.ord_infinity > bound:
+        return OrderViolation("infinity", bound, g.ord_infinity, f.ord_infinity)
+    f_entries = _ord_profile_fraction(f).affine_entries()
+    for g_fac, j in _ord_profile_fraction(g).affine_entries():
+        if j <= bound:
+            continue
+        remaining = list(g_fac)
+        for f_fac, k in f_entries:
+            if len(remaining) <= 1:
+                break
+            common = _gcd(remaining, list(f_fac))
+            if len(common) > 1:
+                if j - k > bound:
+                    return OrderViolation("root-class", bound, j, k, tuple(common))
+                remaining = _divmod(remaining, common)[0]
+        if len(remaining) > 1 and j > bound:
+            return OrderViolation("root-class", bound, j, 0, tuple(remaining))
+    return None
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# irreducible over Q, constant coefficient first
+_IRREDUCIBLE = ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (-3, 0, 2), (5, 2, 3))
+
+
+def _factored_poly(rng, budget):
+    """A rational polynomial of degree at most ``budget``: a rational scale
+    (content and denominators) times factors with multiplicities up to 6,
+    linear ones with rational roots, irreducible quadratics and random
+    quadratics, which may split or repeat a root; sometimes padded with a
+    zero above the top coefficient."""
+    p = [1]
+    for _ in range(rng.randint(0, 3)):
+        r = rng.random()
+        if r < 0.5:
+            fac = [rng.randint(-4, 4), rng.choice((1, 1, 2, 3))]
+        elif r < 0.75:
+            fac = rng.choice(_IRREDUCIBLE)
+        else:
+            fac = [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)]
+        for _ in range(min(rng.randint(1, 6), (budget - len(p) + 1) // (len(fac) - 1))):
+            p = _times(p, fac)
+    scale = Fraction(rng.choice((-6, -3, -2, -1, 1, 2, 4, 9)), rng.choice((1, 2, 3, 5)))
+    return [scale * c for c in p] + [Fraction(0)] * (rng.random() < 0.1)
+
+
+def test_integer_yun_matches_fraction_yun():
+    rng = random.Random(1976)
+    mults, sizes = set(), set()
+    for k in range(2_000):
+        p = _factored_poly(rng, 7) if k % 50 else [Fraction(0)] * (k % 3)
+        got = squarefree_decomposition(p)
+        assert repr(got) == repr(_squarefree_decomposition_fraction(p))
+        mults.update(m for _, m in got)
+        sizes.update(len(fac) for fac, _ in got)
+        sizes.add(len(_trim(p[:])))
+    # zero, constants and linear forms; factors of degree 1-4, multiplicity 1-6
+    assert {0, 1, 2} <= sizes and {2, 3, 4, 5} <= sizes
+    assert set(range(1, 7)) <= mults
+
+
+def test_integer_order_violation_matches_fraction_one():
+    # f and g share the factors of a common part, so root classes meet
+    rng = random.Random(1971)
+    kinds = {}
+    for _ in range(1_000):
+        common = _trim(_factored_poly(rng, 2))
+        forms = []
+        for power in (1, rng.randint(1, 2)):
+            p = common
+            for _ in range(power - 1):
+                p = _times(p, common)
+            p = _trim(_times(p, _factored_poly(rng, 2)))
+            forms.append(form(p, len(p) - 1 + rng.choice((0, 0, 0, 1, 2))))
+        f, g = forms if rng.random() < 0.9 else forms[::-1]
+        got = sl2_order_violation(f, g)
+        assert repr(got) == repr(_sl2_order_violation_fraction(f, g))
+        kind = got and got.kind + ("-0" if got.kind == "root-class" and not got.f_value else "")
+        kinds[kind] = kinds.get(kind, 0) + 1
+    # every kind of verdict, root classes with and without f vanishing there
+    want = ("degree", "infinity", "root-class", "root-class-0", None)
+    assert min(kinds.get(k, 0) for k in want) >= 20, kinds

@@ -12,7 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from pairstab import _linalg
-from pairstab.binaryforms import _divisors, _eval_poly, form, rational_roots
+from pairstab.binaryforms import _divisors, form, rational_roots
 from pairstab.lattice import (
     SeparatingFunctional,
     _affine_frame,
@@ -203,6 +203,15 @@ def _witness_fraction(sep, n):
     for c in ints:
         common = math.gcd(common, abs(c))
     return tuple(c // common for c in ints)
+
+
+def _eval_poly(p, x):
+    """The Horner evaluation ``rational_roots`` used before its integer root
+    test, kept verbatim."""
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * x + c
+    return out
 
 
 def _rational_roots_fraction(f):

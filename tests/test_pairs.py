@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,7 @@ from pairstab.rep import (
     Tensor,
     Trivial,
     Wedge,
+    image_supports,
     matrix_action,
     vector,
     weight_polytope,
@@ -284,16 +288,34 @@ def test_random_conjugator_matches_fraction_build():
 # the support-memoised sweep against the sweep without the memo
 
 
+def _sl2_refutation_conjugator_list(f, g, rng):
+    """``_sl2_refutation_conjugators`` as it stood before its draws were made
+    lazy and the identity moved into it, kept verbatim."""
+    one = Fraction(1)
+    zero = Fraction(0)
+    flip = ((zero, -one), (one, zero))
+    out = [flip]
+    roots = set(binaryforms.rational_roots(g)) | set(binaryforms.rational_roots(f))
+    for r in sorted(roots):
+        out.append(((one, zero), (r, one)))
+    for c in (1, -1, 2, -2, 3, -3):
+        out.append(((one, zero), (Fraction(c), one)))
+    for _ in range(24):
+        out.append(random_conjugator(rng, 2))
+    return out
+
+
 def _nss_check_unmemoised(p, samples=64, seed=0, decider=True):
-    """``nss_check`` as it stood before the support memo, kept verbatim:
-    every torus of the sweep runs ``nss_fixed_torus``."""
+    """``nss_check`` as it stood before the support memo, kept verbatim
+    apart from the name of the candidate list: every torus of the sweep
+    runs ``nss_fixed_torus``."""
     rng = random.Random(seed)
     f = _as_binary_form(p.v)
     g = _as_binary_form(p.w)
     if f is not None and g is not None:
         if decider and binaryforms.sl2_pair_nss(f, g):
             return ProvenSemistable("sl2-binary-forms")
-        candidates = [identity_matrix(2)] + _sl2_refutation_conjugators(f, g, rng)
+        candidates = [identity_matrix(2)] + _sl2_refutation_conjugator_list(f, g, rng)
         for sigma in candidates:
             res = nss_fixed_torus(conjugate_pair(p, sigma))
             if not res:
@@ -421,7 +443,7 @@ def test_fixed_torus_runs_once_per_support_key(monkeypatch):
     def key(q):
         return q.v.support(), q.w.support()
 
-    tested, swept = [], []
+    tested, swept, met = [], [], []
 
     def counting_test(q):
         tested.append(key(q))
@@ -432,8 +454,14 @@ def test_fixed_torus_runs_once_per_support_key(monkeypatch):
         swept.append(key(q))
         return q
 
+    def recording_supports(sigma, vectors):
+        supports = image_supports(sigma, vectors)
+        met.append(supports)
+        return supports
+
     monkeypatch.setattr(pairs, "nss_fixed_torus", counting_test)
     monkeypatch.setattr(pairs, "conjugate_pair", counting_conjugate)
+    monkeypatch.setattr(pairs, "image_supports", recording_supports)
     rng = random.Random(33)
     exhausted = 0
     for p, kwargs in [(_moved_conic(rng), {}) for _ in range(3)] + [
@@ -441,10 +469,15 @@ def test_fixed_torus_runs_once_per_support_key(monkeypatch):
     ]:
         tested.clear()
         swept.clear()
+        met.clear()
         verdict = nss_check(p, **kwargs)
-        # every support pair the sweep met was tested, and tested once
+        # every support pair the sweep met was tested, and tested once; the
+        # conjugates are built only for support pairs being tested, so the
+        # keys met before conjugating are what this checks
+        assert met
         assert len(tested) == len(set(tested))
         assert set(swept) <= set(tested)
+        assert set(met) <= set(tested)
         if isinstance(verdict, NotRefuted):
             assert len(tested) < verdict.tori_tested
             exhausted += 1
@@ -473,3 +506,152 @@ def test_verdicts_and_conjugated_pairs_match_pinned_digest():
     assert _verdict_digest(cases) == (
         "f310b4aec578c8c1925a0869337fad724718ecce45373888f3079e9f13b87240"
     )
+
+
+# ---------------------------------------------------------------------------
+# the integer order gate against the polytope test at each candidate torus
+
+
+def _int_coeffs(values):
+    """The rational values times their least common denominator."""
+    den = math.lcm(*(Fraction(c).denominator for c in values))
+    return [int(c * den) for c in values]
+
+
+def _sym_matrix(sigma, d):
+    """Column i holds the x0-degree coefficients of L0^i L1^(d-i), where
+    sigma^T x = (L0, L1), cleared over one denominator: the integer matrix
+    of F -> F(sigma^T x) on degree-d forms, up to a positive scale."""
+    s00, s01, s10, s11 = _int_coeffs([x for row in sigma for x in row])
+    powers0, powers1 = [[1]], [[1]]
+    for _ in range(d):
+        # low x0-degree first
+        powers0.append(_poly_mul(powers0[-1], [s10, s00]))
+        powers1.append(_poly_mul(powers1[-1], [s11, s01]))
+    cols = [_poly_mul(powers0[i], powers1[d - i]) for i in range(d + 1)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _gate_pairs(seed, count):
+    """Pinned SL(2) pairs from ``_sl2_pair`` (trivial f, roots at infinity,
+    rational roots with denominator 2, irreducible quadratics); every fifth
+    one swapped, so deg f > deg g."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = _sl2_pair(rng, i % 2 == 1)
+        out.append(Pair(p.w, p.v) if i % 5 == 4 else p)
+    return out
+
+
+def test_order_gate_matches_polytope_test_on_every_candidate():
+    # The polytope test at a torus reads only the two weight segments of
+    # the conjugated pair.  Every candidate expands both conjugated forms in
+    # integers, independently of ``rep``, and keys the polytope verdict by
+    # the segments' ends (times 2, centred); a new key runs nss_fixed_torus
+    # on conjugate_pair, whose supports must have those ends.
+    verdicts, sym = {}, {}
+    seen = dict.fromkeys(
+        ("trivial f", "infinity", "non-integral root", "quadratic", "e > d", "irrational"), 0
+    )
+    flagged = candidates = 0
+    for p in _gate_pairs(77, 1000):
+        f, g = _as_binary_form(p.v), _as_binary_form(p.w)
+        fi, gi = _int_coeffs(f.coeffs), _int_coeffs(g.coeffs)
+        sigmas = list(_sl2_refutation_conjugators(f, g, random.Random(0)))
+        # identity, flip, one shear per rational root, 6 shears, 24 random
+        roots = [sigma[1][0] for sigma in sigmas[2:-30]]
+        seen["trivial f"] += p.v.module.shape == Trivial()
+        seen["infinity"] += f.ord_infinity + g.ord_infinity > 0
+        seen["non-integral root"] += any(r.denominator > 1 for r in roots)
+        seen["quadratic"] += any(
+            h.affine_degree
+            > sum(binaryforms.order_at(hi, r.numerator, r.denominator) for r in roots)
+            for h, hi in ((f, fi), (g, gi))
+        )
+        seen["e > d"] += f.degree > g.degree
+        any_flag = False
+        for sigma in sigmas:
+            key = []
+            entries = tuple((x.numerator, x.denominator) for row in sigma for x in row)
+            for a in (fi, gi):
+                if (entries, len(a)) not in sym:
+                    sym[entries, len(a)] = _sym_matrix(sigma, len(a) - 1)
+                image = [sum(m * c for m, c in zip(row, a)) for row in sym[entries, len(a)]]
+                nonzero = [2 * j - len(a) + 1 for j, t in enumerate(image) if t]
+                key += [nonzero[0], nonzero[-1]]
+            key = tuple(key)
+            if key not in verdicts:
+                q = conjugate_pair(p, sigma)
+                for v, ends in zip((q.v, q.w), (key[:2], key[2:])):
+                    xs = [2 * wt[0] - sum(wt) for wt in v.support()]
+                    assert (min(xs), max(xs)) == ends
+                verdicts[key] = not nss_fixed_torus(q)
+            gate = pairs._order_refutes(fi, gi, sigma)
+            assert gate == verdicts[key]
+            any_flag |= gate
+            flagged += gate
+            candidates += 1
+        seen["irrational"] += not any_flag and not binaryforms.sl2_pair_nss(f, g)
+    assert candidates >= 30_000
+    assert 2_000 <= flagged <= candidates - 20_000
+    assert min(seen.values()) >= 30, seen
+
+
+def test_decider_runs_one_torus_per_witnessed_refutation(monkeypatch):
+    tested = []
+
+    def counting_test(q):
+        tested.append(q)
+        return nss_fixed_torus(q)
+
+    monkeypatch.setattr(pairs, "nss_fixed_torus", counting_test)
+    kinds = {"witnessed": 0, "irrational": 0, "semistable": 0}
+    for p in _gate_pairs(78, 300):
+        tested.clear()
+        verdict = nss_check(p)
+        if isinstance(verdict, Unstable) and verdict.witness is not None:
+            assert len(tested) == 1
+            assert tested[0] == conjugate_pair(p, verdict.conjugator)
+            kinds["witnessed"] += 1
+        else:
+            assert tested == []
+            kinds["irrational" if isinstance(verdict, Unstable) else "semistable"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
+_FORGED_GATE = """
+import sys
+from pairstab import pairs
+from pairstab.lattice import WitnessError
+from pairstab.rep import Module, Sym, Trivial, vector
+
+if __debug__:
+    sys.exit("not running under -O")
+# (1, z (z - 1)^2): unstable through the double root at 1, which the
+# diagonal torus does not see; a forged gate flags that torus anyway
+pair = pairs.Pair(
+    vector(Module(1, Trivial()), {(): 1}),
+    vector(Module(1, Sym(3)), {(1, 2): 1, (2, 1): -2, (3, 0): 1}),
+)
+pairs._order_refutes = lambda f, g, sigma: True
+try:
+    pairs.nss_check(pair)
+except WitnessError:
+    print("refused")
+else:
+    sys.exit("accepted")
+"""
+
+
+def test_forged_gate_is_refused(monkeypatch, src_env):
+    p = Pair(_triv(), _sym(3, {(1, 2): 1, (2, 1): -2, (3, 0): 1}))
+    assert nss_fixed_torus(p)
+    monkeypatch.setattr(pairs, "_order_refutes", lambda f, g, sigma: True)
+    with pytest.raises(WitnessError):
+        nss_check(p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_GATE], capture_output=True, text=True, env=src_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["refused"]
