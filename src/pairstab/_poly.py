@@ -1,9 +1,9 @@
-"""Multivariate integer polynomials as exponent-tuple dicts, plus a
-fraction-free Bareiss determinant.
+"""Multivariate integer polynomials as exponent-tuple dicts.
 
-Only what the symbolic discriminant expansion needs: addition, subtraction,
-multiplication, exact division, and lex leading terms.  Coefficients are
-Python ints; exponents are tuples of nonnegative ints of a fixed arity.
+Only what the symbolic discriminant expansion and its tests need: addition,
+subtraction, multiplication, negation and exact division by one variable.
+Coefficients are Python ints; exponents are tuples of nonnegative ints of a
+fixed arity.
 """
 
 from __future__ import annotations
@@ -53,29 +53,6 @@ def neg(p: Poly) -> Poly:
     return {e: -c for e, c in p.items()}
 
 
-def lead(p: Poly):
-    e = max(p)
-    return e, p[e]
-
-
-def divexact(p: Poly, q: Poly) -> Poly:
-    """Exact quotient p/q; raises if the division leaves a remainder."""
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    rem = dict(p)
-    out: Poly = {}
-    qe, qc = lead(q)
-    while rem:
-        re, rc = lead(rem)
-        exp = tuple(a - b for a, b in zip(re, qe))
-        if any(x < 0 for x in exp) or rc % qc:
-            raise ArithmeticError("inexact polynomial division")
-        t = {exp: rc // qc}
-        out = add(out, t)
-        rem = sub(rem, mul(t, q))
-    return out
-
-
 def div_by_variable(p: Poly, i: int) -> Poly:
     """Exact quotient by the i-th variable; every term must contain it."""
     out: Poly = {}
@@ -86,32 +63,3 @@ def div_by_variable(p: Poly, i: int) -> Poly:
         ne[i] -= 1
         out[tuple(ne)] = c
     return out
-
-
-def bareiss_det(matrix: list[list[Poly]], nvars: int) -> Poly:
-    """Determinant of a square polynomial matrix, fraction-free.
-
-    Classic two-step condensation: every intermediate division is exact over
-    the integers, so no rational coefficients ever appear.
-    """
-    n = len(matrix)
-    if n == 0:
-        return const(nvars, 1)
-    a = [[dict(matrix[i][j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev: Poly = const(nvars, 1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if swap is None:
-                return {}
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = sub(mul(a[i][j], a[k][k]), mul(a[i][k], a[k][j]))
-                a[i][j] = divexact(num, prev) if num else {}
-            a[i][k] = {}
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else neg(det)

@@ -97,12 +97,17 @@ def resultant(P: BinaryForm, Q: BinaryForm) -> Fraction:
     Vanishing leading coefficients are legal; the matrix is built from the
     padded coefficient lists, which is the homogeneous convention.
     """
-    m, n = P.degree, Q.degree
-    pdesc = list(reversed(P.coeffs))
-    qdesc = list(reversed(Q.coeffs))
-    rows = [[0] * i + qdesc + [0] * (m - 1 - i) for i in range(m)]
-    rows += [[0] * i + pdesc + [0] * (n - 1 - i) for i in range(n)]
-    return _linalg.det(rows)
+    return _linalg.det(_sylvester(P.coeffs[::-1], Q.coeffs[::-1], 0))
+
+
+def _sylvester(pdesc: Sequence, qdesc: Sequence, zero) -> list[list]:
+    """Sylvester rows of the module docstring from the descending coefficients
+    of P and Q: deg P shifted copies of Q's, then deg Q shifted copies of P's,
+    padded with ``zero``."""
+    m, n = len(pdesc) - 1, len(qdesc) - 1
+    rows = [[zero] * i + list(qdesc) + [zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zero] * i + list(pdesc) + [zero] * (n - 1 - i) for i in range(n)]
+    return rows
 
 
 def derivative(P: BinaryForm) -> BinaryForm:
@@ -423,10 +428,14 @@ def symbolic_discriminant(d: int) -> dict:
     """discriminant of the generic degree-d form, divided by its leading
     coefficient, as an integer polynomial in the d+1 coefficient variables.
 
-    The Sylvester determinant is expanded by fraction-free elimination; the
-    result always carries the leading coefficient as a factor, and dividing
-    it out is what makes the exponent hull match the vertex construction.
-    Capped at d <= 4.
+    The Sylvester determinant is expanded directly: every entry is a_i,
+    i*a_i or zero, so it is the signed sum over the permutations that avoid
+    the zeros, with no division.  The result always carries the leading
+    coefficient as a factor, and dividing it out is what makes the exponent
+    hull match the vertex construction.  Capped at d <= 4.
+
+    Raises:
+        ArithmeticError: a term of the determinant lacks a_d.
     """
     if not 2 <= d <= 4:
         raise ValueError("symbolic expansion capped at 2 <= d <= 4")
@@ -436,22 +445,28 @@ def symbolic_discriminant(d: int) -> dict:
         _poly.mul(_poly.const(nv, i), _poly.variable(nv, i))
         for i in range(d, 0, -1)
     ]
-    size = 2 * d - 1
-    rows = []
-    for i in range(d):
-        rows.append(
-            [_poly.const(nv, 0)] * i
-            + qdesc
-            + [_poly.const(nv, 0)] * (size - i - len(qdesc))
-        )
-    for i in range(d - 1):
-        rows.append(
-            [_poly.const(nv, 0)] * i
-            + pdesc
-            + [_poly.const(nv, 0)] * (size - i - len(pdesc))
-        )
-    det = _poly.bareiss_det(rows, nv)
+    det = _leibniz_det(_sylvester(pdesc, qdesc, {}), nv)
     return _poly.div_by_variable(det, d)
+
+
+def _leibniz_det(rows: list[list[dict]], nvars: int) -> dict:
+    """Determinant of a square polynomial matrix by Leibniz's formula: the
+    product of the entries picked by each permutation that avoids the zero
+    entries, signed by the parity of its inversions."""
+    out: dict = {}
+
+    def extend(i: int, cols: tuple, term: dict) -> None:
+        nonlocal out
+        if i == len(rows):
+            flips = sum(a > b for a, b in itertools.combinations(cols, 2))
+            out = _poly.add(out, _poly.neg(term) if flips % 2 else term)
+            return
+        for j, entry in enumerate(rows[i]):
+            if entry and j not in cols:
+                extend(i + 1, cols + (j,), _poly.mul(term, entry))
+
+    extend(0, (), _poly.const(nvars, 1))
+    return out
 
 
 def disc_newton_polytope_matches(d: int) -> bool:

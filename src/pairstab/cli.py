@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import binaryforms, koszul, toric
 from .energy import asymptotic_slope, default_grid, energy_along_1ps
-from .lattice import Cocharacter, HeightZeroError
+from .lattice import Cocharacter
 from .pairs import (
     Characteristic,
     NotRefuted,
@@ -631,10 +631,6 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         return (1, _render(doc))
     except FileNotFoundError as e:
         return (1, _render({"error": f"no such file: {e.filename}", "op": args.op}))
-    except HeightZeroError as e:
-        return (1, _render({"error": str(e), "op": args.op}))
-    except koszul.NotExactError as e:
-        return (1, _render({"error": str(e), "op": args.op}))
     except (ValueError, ArithmeticError) as e:
         return (1, _render({"error": str(e), "op": args.op}))
     text = _render(payload)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .pairs import Pair, random_conjugator
+from .pairs import Pair, identity_matrix, random_conjugator
 from .lattice import Cocharacter, pairing
 from .rep import Module, Sym, WeightedVector, matrix_action
 
@@ -238,9 +238,7 @@ def sample_energy_infimum(
     """
     rng = random.Random(seed)
     n = p.N + 1
-    best_sigma = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    best_sigma = identity_matrix(n)
     best = energy(p, best_sigma, H)
     tried = 1
     for _ in range(samples):

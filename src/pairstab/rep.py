@@ -236,29 +236,6 @@ def vector(module: Module, entries: Mapping | Iterable) -> WeightedVector:
     return WeightedVector(module, tuple((k, Fraction(c)) for k, c in items))
 
 
-def from_weight_terms(
-    module: Module, terms: Sequence[tuple[Sequence[int], Fraction]]
-) -> WeightedVector:
-    """Build a vector from (weight, coeff) terms.
-
-    Each weight must pin down a unique basis element; shapes whose weight
-    spaces have multiplicity above one need coefficients by basis key instead.
-    """
-    coeffs = []
-    for wt, c in terms:
-        wt = tuple(int(x) for x in wt)
-        keys = [k for k in module.basis if module.weight_of(k) == wt]
-        if not keys:
-            raise ValueError("weight %r does not occur in the module" % (wt,))
-        if len(keys) > 1:
-            raise ValueError(
-                "weight %r has multiplicity %d; address basis keys directly"
-                % (wt, len(keys))
-            )
-        coeffs.append((keys[0], Fraction(c)))
-    return WeightedVector(module, tuple(coeffs))
-
-
 def weight_polytope(v: WeightedVector) -> LatticePolytope:
     """Hull of the traceless representatives of the support."""
     return hull([Weight(w).traceless() for w in v.support()])

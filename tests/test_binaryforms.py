@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstab import _poly
+from pairstab import _poly, binaryforms
 from pairstab.binaryforms import (
     INFINITY,
     OrderViolation,
@@ -467,3 +468,156 @@ def test_integer_order_violation_matches_fraction_one():
     # every kind of verdict, root classes with and without f vanishing there
     want = ("degree", "infinity", "root-class", "root-class-0", None)
     assert min(kinds.get(k, 0) for k in want) >= 20, kinds
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free Bareiss expansion of the symbolic discriminant, verbatim,
+# as the oracle for the direct Sylvester expansion that replaced it
+
+
+def _lead(p):
+    e = max(p)
+    return e, p[e]
+
+
+def _divexact(p, q):
+    """Exact quotient p/q; raises if the division leaves a remainder."""
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = dict(p)
+    out = {}
+    qe, qc = _lead(q)
+    while rem:
+        re, rc = _lead(rem)
+        exp = tuple(a - b for a, b in zip(re, qe))
+        if any(x < 0 for x in exp) or rc % qc:
+            raise ArithmeticError("inexact polynomial division")
+        t = {exp: rc // qc}
+        out = _poly.add(out, t)
+        rem = _poly.sub(rem, _poly.mul(t, q))
+    return out
+
+
+def _bareiss_det(matrix, nvars):
+    """Determinant of a square polynomial matrix, fraction-free.
+
+    Classic two-step condensation: every intermediate division is exact over
+    the integers, so no rational coefficients ever appear.
+    """
+    n = len(matrix)
+    if n == 0:
+        return _poly.const(nvars, 1)
+    a = [[dict(matrix[i][j]) for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = _poly.const(nvars, 1)
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if swap is None:
+                return {}
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = _poly.sub(_poly.mul(a[i][j], a[k][k]), _poly.mul(a[i][k], a[k][j]))
+                a[i][j] = _divexact(num, prev) if num else {}
+            a[i][k] = {}
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else _poly.neg(det)
+
+
+def _symbolic_discriminant_bareiss(d):
+    if not 2 <= d <= 4:
+        raise ValueError("symbolic expansion capped at 2 <= d <= 4")
+    nv = d + 1
+    pdesc = [_poly.variable(nv, i) for i in range(d, -1, -1)]
+    qdesc = [
+        _poly.mul(_poly.const(nv, i), _poly.variable(nv, i))
+        for i in range(d, 0, -1)
+    ]
+    size = 2 * d - 1
+    rows = []
+    for i in range(d):
+        rows.append(
+            [_poly.const(nv, 0)] * i
+            + qdesc
+            + [_poly.const(nv, 0)] * (size - i - len(qdesc))
+        )
+    for i in range(d - 1):
+        rows.append(
+            [_poly.const(nv, 0)] * i
+            + pdesc
+            + [_poly.const(nv, 0)] * (size - i - len(pdesc))
+        )
+    det = _bareiss_det(rows, nv)
+    return _poly.div_by_variable(det, d)
+
+
+def test_symbolic_discriminant_matches_bareiss_oracle():
+    for d in (2, 3, 4):
+        got = symbolic_discriminant(d)
+        assert sorted(got.items()) == sorted(_symbolic_discriminant_bareiss(d).items())
+
+
+def _monomial_matrix(rng, n, nvars):
+    """n x n entries, each zero or one monomial with a small coefficient;
+    sometimes a row repeats another or a column is zeroed."""
+    rows = [
+        [
+            {}
+            if rng.random() < 0.35
+            else {tuple(rng.randint(0, 2) for _ in range(nvars)): rng.choice((-3, -2, -1, 1, 2, 3))}
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+    shape = rng.random() if n > 1 else 1.0
+    if shape < 0.15:
+        rows[rng.randrange(1, n)] = list(rows[0])
+    elif shape < 0.3:
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = {}
+    return rows, shape
+
+
+def test_leibniz_det_matches_bareiss_det():
+    rng = random.Random(1968)
+    repeated = zero_col = nonzero = 0
+    for k in range(400):
+        n, nvars = k % 7, rng.randint(1, 3)
+        rows, shape = _monomial_matrix(rng, n, nvars)
+        got = binaryforms._leibniz_det(rows, nvars)
+        assert sorted(got.items()) == sorted(_bareiss_det(rows, nvars).items())
+        repeated += shape < 0.15
+        zero_col += 0.15 <= shape < 0.3
+        nonzero += bool(got)
+    assert repeated >= 30 and zero_col >= 30 and nonzero >= 150
+
+
+def test_symbolic_discriminant_evaluates_to_numeric_discriminant():
+    # a_d times the expansion is the Sylvester determinant of the form, so it
+    # must agree with the numeric resultant(P, P') through the shared rows
+    rng = random.Random(1841)
+    polys = {d: symbolic_discriminant(d) for d in (2, 3, 4)}
+    zeros = 0
+    for k in range(360):
+        d = 2 + k % 3
+        coeffs = [rng.randint(-2, 2) for _ in range(d)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        value = sum(
+            c * math.prod(a**e for a, e in zip(coeffs, exp)) for exp, c in polys[d].items()
+        )
+        expected = discriminant(form(coeffs))
+        assert coeffs[d] * value == expected
+        zeros += expected == 0
+    assert zeros >= 20
+
+
+def test_leading_coefficient_division_rejects_term_without_it(monkeypatch):
+    det = binaryforms._leibniz_det
+    monkeypatch.setattr(
+        binaryforms, "_leibniz_det", lambda rows, nv: _poly.add(det(rows, nv), {(2, 0, 0): 1})
+    )
+    with pytest.raises(ArithmeticError):
+        symbolic_discriminant(2)

@@ -105,9 +105,11 @@ def test_characteristic_height_zero_is_error(tmp_path):
     path = _write(tmp_path, "vec.json", vec)
     code, out = run(["characteristic", "--vector", path])
     assert code == 1
-    doc = json.loads(out)
-    assert doc["op"] == "characteristic"
-    assert "error" in doc
+    assert json.loads(out) == {
+        "error": "height zero: the weight polytope contains the origin",
+        "op": "characteristic",
+        "schema": "pairstab/v1",
+    }
 
 
 def test_energy_profile_csv(tmp_path):
@@ -188,7 +190,11 @@ def test_inexact_complex_is_exit_1(tmp_path):
     path = _write(tmp_path, "c.json", doc)
     code, out = run(["torsion", "--complex", path])
     assert code == 1
-    assert "not exact" in json.loads(out)["error"]
+    assert json.loads(out) == {
+        "error": "torsion undefined: complex is not exact",
+        "op": "torsion",
+        "schema": "pairstab/v1",
+    }
 
 
 def test_torsion_subcommand(tmp_path):
