@@ -24,10 +24,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import _linalg, _poly
-from .lattice import LatticePolytope, contains, hull
+from .lattice import contains, hull
 
 Coeffs = tuple[Fraction, ...]
 

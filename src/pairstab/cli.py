@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -95,9 +94,29 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t.strip())
 
 
+def _forms(args) -> tuple[binaryforms.BinaryForm, binaryforms.BinaryForm]:
+    """The forms given by the --f, --g, --deg-f and --deg-g flags."""
+    f = binaryforms.form(_parse_q_list(args.f), args.deg_f)
+    return f, binaryforms.form(_parse_q_list(args.g), args.deg_g)
+
+
 def _load_json(path: str):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _list(x, what: str) -> list:
+    """A JSON array from a document, or a ValueError naming the field."""
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list")
+    return x
+
+
+def _int(x) -> int:
+    """int(x) for a JSON value, with arrays, objects and null rejected."""
+    if isinstance(x, (list, dict)) or x is None:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def _key_from_json(shape: Shape, k):
@@ -106,9 +125,9 @@ def _key_from_json(shape: Shape, k):
             raise ValueError("trivial factor key must be []")
         return ()
     if isinstance(shape, (Sym, Wedge)):
-        return tuple(int(c) for c in k)
+        return tuple(_int(c) for c in _list(k, "key"))
     if isinstance(shape, Tensor):
-        if len(k) != len(shape.factors):
+        if len(_list(k, "key")) != len(shape.factors):
             raise ValueError("tensor key arity mismatch")
         return tuple(_key_from_json(f, part) for f, part in zip(shape.factors, k))
     raise ValueError(f"unknown shape {shape!r}")
@@ -126,11 +145,11 @@ def _vector_from_json(data) -> WeightedVector:
     for field in ("N", "shape", "entries"):
         if field not in data:
             raise ValueError(f"vector document is missing {field!r}")
-    shape = parse_shape(data["shape"])
-    mod = Module(int(data["N"]), shape)
+    shape = parse_shape(str(data["shape"]))
+    mod = Module(_int(data["N"]), shape)
     entries = {}
-    for item in data["entries"]:
-        if len(item) != 2:
+    for item in _list(data["entries"], "entries"):
+        if not isinstance(item, list) or len(item) != 2:
             raise ValueError("entries must be [key, coefficient] pairs")
         key = _key_from_json(shape, item[0])
         if key in entries:
@@ -214,8 +233,7 @@ def _cmd_pair_check(args) -> tuple[int, dict]:
 
 
 def _cmd_pair_check_sl2(args) -> tuple[int, dict]:
-    f = binaryforms.form(_parse_q_list(args.f), args.deg_f)
-    g = binaryforms.form(_parse_q_list(args.g), args.deg_g)
+    f, g = _forms(args)
     violation = binaryforms.sl2_order_violation(f, g)
     pair = Pair(_form_vector(f), _form_vector(g))
     verdict = nss_check(pair, samples=args.samples, seed=args.seed)
@@ -284,7 +302,7 @@ def _cmd_energy_profile(args):
 def _points_from_json(data, what: str) -> list[tuple[int, ...]]:
     if not isinstance(data, dict) or "points" not in data:
         raise ValueError(f"{what} document needs a 'points' field")
-    pts = [tuple(int(c) for c in p) for p in data["points"]]
+    pts = [tuple(_int(c) for c in _list(p, "point")) for p in _list(data["points"], "points")]
     if not pts:
         raise ValueError(f"{what} has no points")
     return pts
@@ -312,8 +330,7 @@ def _cmd_toric_extend(args) -> tuple[int, dict]:
 
 
 def _cmd_resultant(args) -> tuple[int, dict]:
-    f = binaryforms.form(_parse_q_list(args.f), args.deg_f)
-    g = binaryforms.form(_parse_q_list(args.g), args.deg_g)
+    f, g = _forms(args)
     return (
         0,
         {
@@ -329,14 +346,8 @@ def _cmd_discriminant(args) -> tuple[int, dict]:
     return (0, {"deg": f.degree, "discriminant": _ser(binaryforms.discriminant(f))})
 
 
-def _cmd_chow_polytope(args) -> tuple[int, dict]:
-    verts = binaryforms.chow_polytope_vertices(args.d)
-    return (0, {"d": args.d, "vertices": sorted(_ser(v) for v in verts)})
-
-
-def _cmd_disc_polytope(args) -> tuple[int, dict]:
-    verts = binaryforms.disc_polytope_vertices(args.d)
-    return (0, {"d": args.d, "vertices": sorted(_ser(v) for v in verts)})
+def _cmd_vertices(vertices, args) -> tuple[int, dict]:
+    return (0, {"d": args.d, "vertices": sorted(_ser(v) for v in vertices(args.d))})
 
 
 def _cmd_scaled_containment(args) -> tuple[int, dict]:
@@ -345,7 +356,7 @@ def _cmd_scaled_containment(args) -> tuple[int, dict]:
 
 
 def _matrix_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(_parse_q(x) for x in row) for row in rows)
+    return tuple(tuple(_parse_q(x) for x in _list(row, "row")) for row in _list(rows, "map"))
 
 
 def _cmd_torsion(args) -> tuple[int, dict]:
@@ -353,8 +364,8 @@ def _cmd_torsion(args) -> tuple[int, dict]:
     if not isinstance(data, dict) or "dims" not in data or "maps" not in data:
         raise ValueError("complex document needs fields 'dims' and 'maps'")
     c = koszul.FiniteComplex(
-        tuple(int(d) for d in data["dims"]),
-        tuple(_matrix_from_json(m) for m in data["maps"]),
+        tuple(_int(d) for d in _list(data["dims"], "dims")),
+        tuple(_matrix_from_json(m) for m in _list(data["maps"], "maps")),
     )
     value = koszul.torsion(c)
     return (
@@ -368,8 +379,7 @@ def _cmd_torsion(args) -> tuple[int, dict]:
 
 
 def _cmd_koszul_resultant(args) -> tuple[int, dict]:
-    f = binaryforms.form(_parse_q_list(args.f), args.deg_f)
-    g = binaryforms.form(_parse_q_list(args.g), args.deg_g)
+    f, g = _forms(args)
     value = koszul.koszul_resultant(f, g, args.m)
     return (
         0,
@@ -382,7 +392,7 @@ def _cmd_koszul_resultant(args) -> tuple[int, dict]:
 
 
 def _cmd_euler_degree(args) -> tuple[int, dict]:
-    h0 = [int(t) for t in args.h0.split(",") if t.strip()]
+    h0 = _parse_int_list(args.h0)
     return (0, {"h0": h0, "degree": koszul.weighted_euler_degree(h0)})
 
 
@@ -565,11 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f", required=True)
     sp.add_argument("--deg", type=int, default=None)
 
-    sp = add("chow-polytope", _cmd_chow_polytope, help="degree-d root-sum vertices")
-    sp.add_argument("--d", type=int, required=True)
-
-    sp = add("disc-polytope", _cmd_disc_polytope, help="discriminant vertex set")
-    sp.add_argument("--d", type=int, required=True)
+    for name, vertices, text in (
+        ("chow-polytope", binaryforms.chow_polytope_vertices, "degree-d root-sum vertices"),
+        ("disc-polytope", binaryforms.disc_polytope_vertices, "discriminant vertex set"),
+    ):
+        sp = add(name, functools.partial(_cmd_vertices, vertices), help=text)
+        sp.add_argument("--d", type=int, required=True)
 
     sp = add(
         "scaled-containment",
@@ -616,11 +627,15 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as e:
-        code = e.code if isinstance(e.code, int) else 1
-        return (0 if code == 0 else 1, "")
+        return (0 if e.code == 0 else 1, "")
     try:
         _resolve_seed(args)
         code, payload = args.func(args)
+        text = _render(payload)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            text = ""
     except json.JSONDecodeError as e:
         doc = {
             "error": f"malformed JSON: {e.msg}",
@@ -631,13 +646,10 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         return (1, _render(doc))
     except FileNotFoundError as e:
         return (1, _render({"error": f"no such file: {e.filename}", "op": args.op}))
+    except OSError as e:
+        return (1, _render({"error": f"cannot open {e.filename}: {e.strerror}", "op": args.op}))
     except (ValueError, ArithmeticError) as e:
         return (1, _render({"error": str(e), "op": args.op}))
-    text = _render(payload)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        return (code, "")
     return (code, text)
 
 

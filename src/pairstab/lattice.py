@@ -7,9 +7,9 @@ for what they return:
 
 - the phase-1 simplex, a fraction-free tableau (row denominators cleared
   once, one running pivot denominator, every division exact);
-- the centroid support probe in ``member`` and the separator check after its
-  LP, on an integer vertex table (all vertices over one common denominator)
-  that each polytope builds once;
+- the centroid support probe in ``member`` and the check of every separator
+  it returns, on an integer vertex table (all vertices over one common
+  denominator) that each polytope builds once;
 - every elimination and denominator clearing, through ``_linalg``: the
   affine frame of a polytope (a Bareiss echelon), its Gram coordinate rows
   and the KKT systems of ``min_norm_point`` (fraction-free solves), and the
@@ -85,9 +85,6 @@ class Weight:
         """Representative with coordinate sum zero (rational in general)."""
         mean = Fraction(sum(self.coords), len(self.coords))
         return tuple([Fraction(c) - mean for c in self.coords])
-
-    def shifted(self, k: int) -> "Weight":
-        return Weight(tuple(c + k for c in self.coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Weight):
@@ -400,11 +397,6 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
                 xx = xx[:-1]
                 kept.pop()
                 changed = True
-    if not kept:
-        # every coordinate was pinned and x matched them all
-        w = [Fraction(0)] * len(verts)
-        w[0] = Fraction(1)
-        return Phase1Result(True, tuple(w), None)
 
     # convex combination: stack coordinates over the affine row (sum = 1)
     cols = [v + (Fraction(1),) for v in verts]
@@ -476,18 +468,14 @@ def _facets_low_dim(coords: list[Point]) -> list[tuple[Point, Fraction]]:
     seen: set[tuple] = set()
 
     def consider(normal: Point) -> None:
+        # _primitive fixes the sign, so no stored normal negates another
         normal = _primitive(normal)
         if normal is None or normal in seen:
             return
         seen.add(normal)
         vals = [sum(a * b for a, b in zip(normal, y)) for y in coords]
-        hi, lo = max(vals), min(vals)
-        # a valid support direction has every point on one side of some triple
-        facets.append((normal, hi))
-        neg = tuple(-a for a in normal)
-        if neg not in seen:
-            seen.add(neg)
-            facets.append((neg, -lo))
+        facets.append((normal, max(vals)))
+        facets.append((tuple(-a for a in normal), -min(vals)))
 
     if d == 1:
         consider((Fraction(1),))
@@ -594,6 +582,8 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
         raise ValueError("point has wrong ambient dimension")
     if _get_hrep(P)[1] is not None:
         inside, sep = _membership_facets(P, xx)
+        if sep is not None:
+            _check_separator(P, sep)
         return ContainmentResult(inside, sep)
     if xx in P.vertices:
         return ContainmentResult(True, None)

@@ -24,19 +24,15 @@ from . import _linalg, binaryforms
 from .lattice import (
     Cocharacter,
     HeightZeroError,
-    LatticePolytope,
     SeparatingFunctional,
-    Weight,
     WitnessError,
     contains,
     member,
     min_norm_point,
     pairing,
-    support_min,
 )
 from .rep import (
     Matrix,
-    Module,
     Sym,
     Trivial,
     WeightedVector,
@@ -205,6 +201,18 @@ def _as_binary_form(v: WeightedVector) -> Optional[binaryforms.BinaryForm]:
     return None
 
 
+def _sl2_root_conjugators(
+    f: binaryforms.BinaryForm, g: binaryforms.BinaryForm
+) -> Iterator[Matrix]:
+    """The identity, the flip, and the shears taking each rational root to 0."""
+    one, zero = Fraction(1), Fraction(0)
+    yield identity_matrix(2)
+    yield ((zero, -one), (one, zero))
+    roots = set(binaryforms.rational_roots(g)) | set(binaryforms.rational_roots(f))
+    for r in sorted(roots):
+        yield ((one, zero), (r, one))
+
+
 def _sl2_refutation_conjugators(
     f: binaryforms.BinaryForm, g: binaryforms.BinaryForm, rng: random.Random
 ) -> Iterator[Matrix]:
@@ -217,11 +225,7 @@ def _sl2_refutation_conjugators(
     when degrees mismatch).  Each is made only when the sweep reaches it.
     """
     one, zero = Fraction(1), Fraction(0)
-    yield identity_matrix(2)
-    yield ((zero, -one), (one, zero))
-    roots = set(binaryforms.rational_roots(g)) | set(binaryforms.rational_roots(f))
-    for r in sorted(roots):
-        yield ((one, zero), (r, one))
+    yield from _sl2_root_conjugators(f, g)
     for c in (1, -1, 2, -2, 3, -3):
         yield ((one, zero), (Fraction(c), one))
     for _ in range(24):
@@ -279,12 +283,17 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
     f = _as_binary_form(p.v)
     g = _as_binary_form(p.w)
     if f is not None and g is not None:
-        candidates = _sl2_refutation_conjugators(f, g, rng)
         if not decider:
-            swept = list(candidates)
+            swept = list(_sl2_refutation_conjugators(f, g, rng))
             return _first_refutation(p, swept, set()) or NotRefuted(len(swept))
         if binaryforms.sl2_pair_nss(f, g):
             return ProvenSemistable("sl2-binary-forms")
+        # with deg f <= deg g the order test flags only roots of g, which
+        # the root conjugators already reach when they are rational
+        if f.degree <= g.degree:
+            candidates = _sl2_root_conjugators(f, g)
+        else:
+            candidates = _sl2_refutation_conjugators(f, g, rng)
         fi, gi = _linalg.primitive(f.coeffs), _linalg.primitive(g.coeffs)
         sigma = next((s for s in candidates if _order_refutes(fi, gi, s)), None)
         if sigma is None:

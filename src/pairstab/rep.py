@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import _linalg
 from .lattice import LatticePolytope, Weight, hull
@@ -226,10 +226,6 @@ class WeightedVector:
         """Sorted distinct raw weights carrying a nonzero coefficient."""
         return tuple(sorted({self.module.weight_of(k) for k, _ in self.coeffs}))
 
-    def terms(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-        """(weight, coefficient) view in basis order; weights may repeat."""
-        return tuple((self.module.weight_of(k), c) for k, c in self.coeffs)
-
 
 def vector(module: Module, entries: Mapping | Iterable) -> WeightedVector:
     items = entries.items() if isinstance(entries, Mapping) else entries
@@ -433,15 +429,6 @@ class ContractionKernel:
             raise ValueError("vector lives in a different module")
         image = _contract_vector(v)
         return all(val == 0 for val in image)
-
-    def weight_multiset(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for b in self.basis:
-            ws = {b.module.weight_of(k) for k, _ in b.coeffs}
-            if len(ws) != 1:
-                raise AssertionError("kernel basis vector mixes weights")
-            out.append(next(iter(ws)))
-        return tuple(sorted(out))
 
 
 def _eps(pair: tuple[int, int], i: int) -> int:

@@ -266,3 +266,59 @@ def test_malformed_seed_env_is_exit_1(tmp_path, monkeypatch):
     assert json.loads(out)["op"] == "pair-check"
     # subcommands without --seed do not read it
     assert run(["resultant", "--f=0,1", "--g=1,1"])[0] == 0
+
+
+def _error(message, op):
+    return {"error": message, "op": op, "schema": "pairstab/v1"}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("entries", [5], "entries must be [key, coefficient] pairs"),
+        ("entries", [[5, 1]], "key must be a list"),
+        ("N", [1], "expected an integer, got [1]"),
+        ("shape", 5, "unrecognized shape '5'"),
+    ],
+)
+def test_malformed_vector_document_is_exit_1(tmp_path, field, value, message):
+    doc = _pair_doc()
+    doc["w"][field] = value
+    code, out = run(["pair-check", "--pair", _write(tmp_path, "pair.json", doc)])
+    assert code == 1
+    assert json.loads(out) == _error(message, "pair-check")
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        (5, "points must be a list"),
+        ([[0], 1], "point must be a list"),
+        ([[None]], "expected an integer, got None"),
+    ],
+)
+def test_malformed_points_are_exit_1(tmp_path, points, message):
+    a = _write(tmp_path, "a.json", {"points": points})
+    b = _write(tmp_path, "b.json", {"points": [[0]]})
+    code, out = run(["toric-extend", "--A", a, "--B", b])
+    assert code == 1
+    assert json.loads(out) == _error(message, "toric-extend")
+
+
+def test_map_that_is_not_a_matrix_is_exit_1(tmp_path):
+    path = _write(tmp_path, "c.json", {"dims": [2, 2], "maps": [5]})
+    code, out = run(["torsion", "--complex", path])
+    assert code == 1
+    assert json.loads(out) == _error("map must be a list", "torsion")
+
+
+def test_directory_as_input_is_exit_1(tmp_path):
+    code, out = run(["pair-check", "--pair", str(tmp_path)])
+    assert code == 1
+    assert json.loads(out) == _error(f"cannot open {tmp_path}: Is a directory", "pair-check")
+
+
+def test_unwritable_output_is_exit_1(tmp_path):
+    code, out = run(["chow-polytope", "--d", "2", "--output", str(tmp_path)])
+    assert code == 1
+    assert json.loads(out) == _error(f"cannot open {tmp_path}: Is a directory", "chow-polytope")

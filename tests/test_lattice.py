@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstab import lattice
 from pairstab.lattice import (
     Cocharacter,
     HeightZeroError,
@@ -149,6 +151,45 @@ def test_member_high_dimension_lp_route():
     center = tuple(Fraction(5, 6) for _ in range(6))
     assert member(P, center)
     assert not member(P, (6, 0, 0, 0, 0, 0))
+    # neither is decided before the LP: one is inside, off the centroid, and
+    # the centroid probe does not refute the other
+    assert member(P, (2, 3, 0, 0, 0, 0))
+    assert not member(P, (4, 1, 1, 0, 0, -1))
+
+
+def test_member_lp_route_with_column_generation_matches_full_lp(monkeypatch):
+    # the 32 points of {-1, 0, 1}^4 with three nonzero coordinates all lie on
+    # one sphere, so each is a vertex; hulls of more than 24 vertices run
+    # _in_hull_lp's column generation.  Separators may differ from those of
+    # one LP on all columns, so only the verdicts are compared.
+    pts = {
+        tuple(a * b for a, b in zip(base, signs))
+        for base in itertools.permutations((1, 1, 1, 0))
+        for signs in itertools.product((1, -1), repeat=4)
+    }
+    P = hull(pts)
+    assert len(P.vertices) == 32 and P.effective_dim() == 4
+    lp_verdicts = []
+    in_hull_lp = lattice._in_hull_lp
+
+    def counting(vertices, x):
+        res = in_hull_lp(vertices, x)
+        lp_verdicts.append(res.feasible)
+        return res
+
+    monkeypatch.setattr(lattice, "_in_hull_lp", counting)
+    cols = [v + (Fraction(1),) for v in P.vertices]
+    rng = random.Random(2024)
+    for _ in range(150):
+        # a combination of three vertices scaled by 4/5 to 6/5 lands near
+        # the boundary, on either side
+        vs = rng.sample(P.vertices, 3)
+        w = [rng.randint(1, 4) for _ in vs]
+        s = Fraction(rng.randint(8, 12), 10)
+        x = tuple(s * sum(a * v[j] for a, v in zip(w, vs)) / sum(w) for j in range(4))
+        want = solve_phase1(cols, x + (Fraction(1),)).feasible
+        assert bool(member(P, x)) == want
+    assert lp_verdicts.count(True) >= 50 and lp_verdicts.count(False) >= 10
 
 
 points2d = st.lists(
@@ -380,7 +421,7 @@ def test_solve_phase1_matches_fraction_pivot():
 _FORGED_WITNESSES = """
 import sys
 from fractions import Fraction
-from pairstab import _linalg, pairs, toric
+from pairstab import _linalg, lattice, pairs, toric
 from pairstab.lattice import (
     Cocharacter, SeparatingFunctional, WitnessError, _check_separator, hull,
 )
@@ -409,6 +450,13 @@ def forge_argmin():
     toric.accessible_faces([(0,), (1,)])
 
 
+def forge_facet():
+    lattice._membership_facets = lambda P, x: (
+        False, SeparatingFunctional(x, Fraction(1, 2), (Fraction(2), Fraction(0)))
+    )
+    lattice.member(P, (2, 0))
+
+
 checks = {
     # the vertex (1, 0) lies above the threshold
     "threshold": lambda: _check_separator(
@@ -424,6 +472,8 @@ checks = {
     "star": forge_star,
     # a face functional whose argmin is all of A
     "argmin": forge_argmin,
+    # a facet-route separator that cuts the vertex (1, 0)
+    "facet": forge_facet,
 }
 for name, forge in checks.items():
     try:
@@ -440,5 +490,5 @@ def test_check_separator_refuses_forgeries_under_optimize(src_env):
         [sys.executable, "-O", "-c", _FORGED_WITNESSES], capture_output=True, text=True, env=src_env
     )
     assert proc.returncode == 0, proc.stderr
-    names = ("threshold", "witness", "futaki", "star", "argmin")
+    names = ("threshold", "witness", "futaki", "star", "argmin", "facet")
     assert proc.stdout.splitlines() == [name + " refused" for name in names]

@@ -620,6 +620,39 @@ def test_decider_runs_one_torus_per_witnessed_refutation(monkeypatch):
     assert min(kinds.values()) >= 10, kinds
 
 
+def test_decider_draws_no_conjugator_when_deg_f_at_most_deg_g(monkeypatch):
+    # a flagged point is then a root of g, and the identity, the flip and
+    # the root shears reach 0, infinity and every rational root
+    drawn = []
+    draw = pairs.random_conjugator
+    monkeypatch.setattr(pairs, "random_conjugator", lambda rng, n: drawn.append(n) or draw(rng, n))
+    kinds = {"witnessed": 0, "irrational": 0, "semistable": 0}
+    for p in _gate_pairs(79, 300):
+        f, g = _as_binary_form(p.v), _as_binary_form(p.w)
+        if f.degree > g.degree:
+            continue
+        fi, gi = _int_coeffs(f.coeffs), _int_coeffs(g.coeffs)
+        full = list(_sl2_refutation_conjugators(f, g, random.Random(0)))
+        first = next((s for s in full if pairs._order_refutes(fi, gi, s)), None)
+        drawn.clear()
+        verdict = nss_check(p)
+        assert drawn == []
+        # the same torus as on the full candidate list refutes
+        if isinstance(verdict, ProvenSemistable):
+            assert first is None
+            # decider=False still sweeps every candidate
+            assert nss_check(p, decider=False) == NotRefuted(len(full))
+            assert len(drawn) == 24
+            kinds["semistable"] += 1
+        elif verdict.witness is None:
+            assert first is None
+            kinds["irrational"] += 1
+        else:
+            assert verdict.conjugator == first
+            kinds["witnessed"] += 1
+    assert min(kinds.values()) >= 10, kinds
+
+
 _FORGED_GATE = """
 import sys
 from pairstab import pairs
