@@ -20,7 +20,8 @@ This is the package's one elimination and denominator-clearing kernel:
   the facet normals (``primitive``);
 - ``toric`` and ``pairs``: integer functionals and cocharacters cleared
   from rational separators, and the forms and points of the SL(2) order
-  test (``primitive``).
+  test (``primitive``); the facet normals of the accessible faces
+  (``nullspace``).
 """
 
 from __future__ import annotations

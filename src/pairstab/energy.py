@@ -141,6 +141,8 @@ def default_grid(tmin: float = 1e-6, per_decade: int = 4) -> tuple[float, ...]:
     """Geometric grid from 1 down to tmin."""
     if not (0.0 < tmin < 1.0):
         raise ValueError("tmin must lie in (0, 1)")
+    if per_decade < 1:
+        raise ValueError("per_decade must be at least 1")
     out = []
     k = 0
     while True:

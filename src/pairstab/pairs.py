@@ -278,7 +278,12 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
     ``decider=False`` turns the exact binary-form shortcut and the order
     test off, so such pairs run the polytope test on the same candidates
     like any others: an independent oracle for testing the criterion.
+
+    Raises:
+        ValueError: samples is negative.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = random.Random(seed)
     f = _as_binary_form(p.v)
     g = _as_binary_form(p.w)

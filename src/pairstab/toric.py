@@ -4,14 +4,16 @@ accessibility data for finite character sets.
 Everything is exact integer/rational arithmetic on points of a fixed lattice
 rank.  The extension criterion is a polytope containment; its failure is
 converted into an integer functional violating the pointwise star condition,
-so the two views refute each other constructively.
+so the two views refute each other constructively.  The accessible subsets
+of A are the sets A ∩ F for the faces F of conv A; they are enumerated from
+the facets, and each one is certified by an integer functional whose argmin
+is rechecked.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _linalg
@@ -122,25 +124,67 @@ class FaceCertificate:
 def accessible_faces(A: Sequence[Sequence[int]]) -> list[FaceCertificate]:
     """All subsets of A realizable as boundary_witness(A, u), certified.
 
-    For each nonempty subset S an LP decides whether some functional is
-    constant on S and strictly larger on the rest; a feasible rational
-    solution is cleared to an integer u and rechecked against
+    These are the sets A ∩ F for the nonempty faces F of conv A, A itself
+    included.  Every proper face is an intersection of facets (Ziegler,
+    *Lectures on Polytopes*, §2.3), so the facet sets are found first, in
+    integers, and closed under intersection.  The candidates come in order
+    of size, then of their index tuples in sorted A.  For each one an LP
+    finds a functional constant on it and strictly larger on the rest; the
+    rational solution is cleared to an integer u and rechecked against
     boundary_witness, so every returned certificate is exact.
     """
     pts = tuple(sorted({tuple(int(c) for c in a) for a in A}))
     if not pts:
         raise ValueError("empty character set")
     dim = len(pts[0])
+    candidates = _facet_sets(pts, dim)
+    closed = set(candidates)
+    while candidates:
+        meets = {f & g for f in candidates for g in closed}
+        candidates = [s for s in meets if s and s not in closed]
+        closed.update(candidates)
+    closed.add(frozenset(range(len(pts))))
     out = []
-    for r in range(1, len(pts) + 1):
-        for S in itertools.combinations(pts, r):
-            u = _face_functional(pts, set(S), dim)
-            if u is None:
-                continue
-            if boundary_witness(pts, u) != tuple(sorted(S)):
-                raise WitnessError("certified functional has the wrong argmin")
-            out.append(FaceCertificate(tuple(sorted(S)), u))
+    for idx in sorted([tuple(sorted(s)) for s in closed], key=lambda t: (len(t), t)):
+        S = tuple([pts[i] for i in idx])
+        u = _face_functional(pts, set(S), dim)
+        if u is None or boundary_witness(pts, u) != S:
+            raise WitnessError("certified functional has the wrong argmin")
+        out.append(FaceCertificate(S, u))
     return out
+
+
+def _facet_sets(pts: tuple[IntPoint, ...], dim: int) -> list[frozenset]:
+    """Index sets of pts on the facets of their hull, relative to its
+    affine span; none for a single point.
+
+    With k the dimension of the hull, every affinely independent k-subset T
+    has one normal orthogonal to T's differences and to the complement of
+    the span; it supports a facet on the side where T's value is extreme.
+    """
+    base = pts[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
+    if not diffs:
+        return []
+    normal_to_span, _ = _linalg.int_rows(_linalg.nullspace(diffs))
+    k = dim - len(normal_to_span)
+    facets: list[frozenset] = []
+    for T in itertools.combinations(range(len(pts)), k):
+        if any(f.issuperset(T) for f in facets):
+            continue
+        t0 = pts[T[0]]
+        rows = [[a - b for a, b in zip(pts[i], t0)] for i in T[1:]] + normal_to_span
+        # rows is empty only in dimension 1, where the normal is free
+        normals = _linalg.nullspace(rows or [[0] * dim])
+        if len(normals) != 1:
+            continue
+        [n], _ = _linalg.int_rows(normals)
+        vals = [_dot(n, p) for p in pts]
+        v = vals[T[0]]
+        for extreme in (min(vals), max(vals)):
+            if v == extreme:
+                facets.append(frozenset([i for i, w in enumerate(vals) if w == v]))
+    return facets
 
 
 def _face_functional(
@@ -156,23 +200,23 @@ def _face_functional(
     for p in sorted(S):
         if p == base:
             continue
-        rows.append(("eq", tuple(a - b for a, b in zip(p, base))))
-        rhs.append(Fraction(0))
+        rows.append(("eq", [a - b for a, b in zip(p, base)]))
+        rhs.append(0)
     for p in rest:
-        rows.append(("ge", tuple(a - b for a, b in zip(p, base))))
-        rhs.append(Fraction(1))
+        rows.append(("ge", [a - b for a, b in zip(p, base)]))
+        rhs.append(1)
     if not rows:
         return (0,) * dim
     columns = []
     for sign in (1, -1):
         for j in range(dim):
-            columns.append(tuple(Fraction(sign * diff[j]) for _, diff in rows))
+            columns.append([sign * diff[j] for _, diff in rows])
     for i, (kind, _) in enumerate(rows):
         if kind == "ge":
-            col = [Fraction(0)] * len(rows)
-            col[i] = Fraction(-1)
-            columns.append(tuple(col))
-    x = solve_phase1(columns, tuple(rhs)).x
+            col = [0] * len(rows)
+            col[i] = -1
+            columns.append(col)
+    x = solve_phase1(columns, rhs).x
     if x is None:
         return None
     u_frac = [x[j] - x[dim + j] for j in range(dim)]

@@ -80,6 +80,25 @@ def test_pair_check_unstable_exit_2(tmp_path):
     assert verdict["futaki"] == 2
 
 
+def test_pair_check_negative_samples_is_exit_1(tmp_path):
+    path = _write(tmp_path, "pair.json", _pair_doc())
+    code, out = run(["pair-check", "--pair", path, "--samples", "-1"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "samples must be nonnegative",
+        "op": "pair-check",
+        "schema": "pairstab/v1",
+    }
+    # the SL(2) decider needs no samples, yet the argument is still checked
+    code, out = run(["pair-check-sl2", "--f=0,0,1", "--g=0,0,0,1", "--samples", "-1"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "samples must be nonnegative",
+        "op": "pair-check-sl2",
+        "schema": "pairstab/v1",
+    }
+
+
 def test_futaki_subcommand(tmp_path):
     doc = _pair_doc()
     doc["w"]["entries"] = [[[2, 0], 1]]
@@ -132,6 +151,19 @@ def test_energy_profile_json_slope(tmp_path):
     parsed = json.loads(out)
     assert abs(parsed["slope"] - 2.0) < 1e-9
     assert parsed["futaki"] == 2
+
+
+@pytest.mark.parametrize("per_decade", ["0", "-1"])
+def test_energy_profile_nonpositive_per_decade_is_exit_1(tmp_path, per_decade):
+    path = _write(tmp_path, "pair.json", _pair_doc())
+    argv = ["energy-profile", "--pair", path, "--u", "1,-1", "--per-decade", per_decade]
+    code, out = run(argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "per_decade must be at least 1",
+        "op": "energy-profile",
+        "schema": "pairstab/v1",
+    }
 
 
 def test_toric_extend_exit_codes(tmp_path):

@@ -156,6 +156,11 @@ def test_xnil_pair_not_refuted():
     assert verdict.tori_tested == 65
 
 
+def test_negative_samples_are_refused():
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        nss_check(_xnil_pair(), samples=-5)
+
+
 def test_characteristic_nilpotent_fixture():
     amb = Module(2, Tensor((Sym(2), Wedge(2))))
     o = vector(amb, {((2, 0, 0), (0, 1)): 1, ((1, 1, 0), (0, 1)): 1})

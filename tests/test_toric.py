@@ -161,3 +161,79 @@ def test_extension_matches_star_sweep_random():
         else:
             assert not star_condition(d, res.star_violator)
             assert not swept
+
+
+def _accessible_faces_sweep(A):
+    # the subset sweep that accessible_faces replaced: one LP per nonempty
+    # subset of A
+    pts = tuple(sorted({tuple(int(c) for c in a) for a in A}))
+    if not pts:
+        raise ValueError("empty character set")
+    dim = len(pts[0])
+    out = []
+    for r in range(1, len(pts) + 1):
+        for S in itertools.combinations(pts, r):
+            u = toric._face_functional(pts, set(S), dim)
+            if u is None:
+                continue
+            if boundary_witness(pts, u) != tuple(sorted(S)):
+                raise WitnessError("certified functional has the wrong argmin")
+            out.append(FaceCertificate(tuple(sorted(S)), u))
+    return out
+
+
+def _affine_rank(A):
+    pts = sorted(set(A))
+    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    return len(_linalg.echelon(rows)[0]) if rows else 0
+
+
+def _oracle_sets(seed=12, count=1040):
+    """Random sets of dimension 1-3 with 1-8 points, every third one drawn
+    from a line or a plane (p0 + a v1 + b v2) and every fifth one with a
+    point repeated."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        dim = rng.randint(1, 3)
+        m = 1 + i % 8
+        if i % 3 == 0 and dim > 1:
+            p0 = [rng.randint(-2, 2) for _ in range(dim)]
+            span = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, dim - 1))]
+            A = []
+            for _ in range(m):
+                cs = [rng.randint(-2, 2) for _ in span]
+                A.append(tuple(p0[j] + sum(c * v[j] for c, v in zip(cs, span)) for j in range(dim)))
+        else:
+            box = rng.choice((1, 2, 3))
+            A = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(m)]
+        if i % 5 == 0:
+            A.append(A[rng.randrange(len(A))])
+        out.append(A)
+    return out
+
+
+def test_accessible_faces_matches_the_subset_sweep():
+    sets = _oracle_sets()
+    lower = [A for A in sets if 1 < len(A[0]) and 0 < _affine_rank(A) < len(A[0])]
+    assert len(lower) >= 100
+    assert any(len(set(A)) == 1 for A in sets)
+    assert any(len(set(A)) == 8 for A in sets)
+    assert any(len(set(A)) < len(A) for A in sets)
+    for A in sets:
+        assert repr(accessible_faces(A)) == repr(_accessible_faces_sweep(A)), A
+
+
+def test_accessible_faces_runs_one_lp_per_face(monkeypatch):
+    calls = []
+    real = toric._face_functional
+
+    def counting(pts, S, dim):
+        calls.append(S)
+        return real(pts, S, dim)
+
+    monkeypatch.setattr(toric, "_face_functional", counting)
+    for A in _oracle_sets(seed=13, count=40):
+        calls.clear()
+        result = accessible_faces(A)
+        assert len(calls) == len(result)
