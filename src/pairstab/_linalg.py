@@ -17,11 +17,11 @@ This is the package's one elimination and denominator-clearing kernel:
 - ``lattice``: the phase-1 rows, the integer vertex table and the
   membership probe (``int_rows``), the affine frame (``echelon``), the Gram
   coordinates and the KKT system of ``min_norm_point`` (``solve``), and
-  the facet normals (``primitive``);
+  the facet normals, one ``echelon`` per maximal minor, made ``primitive``;
 - ``toric`` and ``pairs``: integer functionals and cocharacters cleared
   from rational separators, and the forms and points of the SL(2) order
-  test (``primitive``); the facet normals of the accessible faces
-  (``nullspace``).
+  test (``primitive``); the coordinates that ``toric`` hands to the
+  lattice facet normals are the ``echelon`` pivot columns of A.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ for what they return:
 - every elimination and denominator clearing, through ``_linalg``: the
   affine frame of a polytope (a Bareiss echelon), its Gram coordinate rows
   and the KKT systems of ``min_norm_point`` (fraction-free solves), and the
-  primitive facet normals.
+  facet normals, the primitive maximal minors of integer difference rows
+  (``_facets``, which ``toric`` shares).
 
 Weights are integer lattice points considered up to adding a constant vector
 (1, ..., 1), cocharacters are integer vectors with coordinate sum zero, and
@@ -441,7 +442,7 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
         active.sort()
 
 
-# -- facet cache (effective dimension <= 3) ---------------------------------
+# -- facet cache (effective dimension <= 3), one enumerator for every dimension
 
 
 def _affine_frame(P: LatticePolytope):
@@ -461,54 +462,37 @@ def _coordinate_rows(basis: list[Point]) -> list[Point]:
     return [tuple(r) for r in solve(gram, basis)]
 
 
-def _facets_low_dim(coords: list[Point]) -> list[tuple[Point, Fraction]]:
-    """Facet inequalities n . y <= c of a full-dimensional hull in dim <= 3."""
-    d = len(coords[0]) if coords else 0
+def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
+    """Inequalities n . y <= c valid on the hull of full-dimensional points
+    in Q^d, every facet among them.  The points are cleared to integers
+    once; each d-subset, in ``combinations`` order, has the signed maximal
+    minors of its difference rows as normal (all zero when it is affinely
+    dependent), made primitive with first nonzero entry positive.  The
+    first subset on each line appends (n, max), then (-n, -min)."""
+    d = len(coords[0])
+    [flat], den = int_rows([[c for y in coords for c in y]])
+    ys = [flat[i * d : i * d + d] for i in range(len(coords))]
     facets: list[tuple[Point, Fraction]] = []
     seen: set[tuple] = set()
-
-    def consider(normal: Point) -> None:
-        # _primitive fixes the sign, so no stored normal negates another
-        normal = _primitive(normal)
-        if normal is None or normal in seen:
-            return
+    for T in itertools.combinations(ys, d):
+        rows = [[a - b for a, b in zip(y, T[0])] for y in T[1:]]
+        minors = [(-1) ** j * echelon([r[:j] + r[j + 1 :] for r in rows])[1] for j in range(d)]
+        normal = primitive(minors)
+        lead = next((v for v in normal if v), 0)
+        normal = tuple([-v for v in normal] if lead < 0 else normal)
+        if not lead or normal in seen:
+            continue
         seen.add(normal)
-        vals = [sum(a * b for a, b in zip(normal, y)) for y in coords]
-        facets.append((normal, max(vals)))
-        facets.append((tuple(-a for a in normal), -min(vals)))
-
-    if d == 1:
-        consider((Fraction(1),))
-        return facets
-    if d == 2:
-        for p, q in itertools.combinations(coords, 2):
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            consider((dy, -dx))
-        return facets
-    for p, q, r in itertools.combinations(coords, 3):
-        u = tuple(b - a for a, b in zip(p, q))
-        v = tuple(b - a for a, b in zip(p, r))
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        consider(normal)
+        vals = [sum(map(operator.mul, normal, y)) for y in ys]
+        facets.append((tuple([Fraction(v) for v in normal]), Fraction(max(vals), den)))
+        facets.append((tuple([Fraction(-v) for v in normal]), Fraction(-min(vals), den)))
     return facets
-
-
-def _primitive(vec: Point) -> Optional[Point]:
-    ints = primitive(vec)
-    lead = next((v for v in ints if v), 0)
-    if not lead:
-        return None
-    return tuple([Fraction(v if lead > 0 else -v) for v in ints])
 
 
 def _get_hrep(P: LatticePolytope):
     """(effective dimension, frame), cached on the polytope.  The frame
     (base, rows, basis, facets) serves the facet route and is kept only for
-    effective dimension at most three; facets is None in dimension zero."""
+    effective dimension at most three."""
     if P._hrep is not None:
         return P._hrep
     base, basis = _affine_frame(P)
@@ -520,7 +504,7 @@ def _get_hrep(P: LatticePolytope):
             tuple(sum(r[j] * (v[j] - base[j]) for j in range(P.ambient)) for r in rows)
             for v in P.vertices
         ]
-        frame = (base, rows, basis, _facets_low_dim(coords) if d else None)
+        frame = (base, rows, basis, _facets(coords))
     hrep = (d, frame)
     object.__setattr__(P, "_hrep", hrep)
     return hrep
@@ -538,8 +522,6 @@ def _membership_facets(P: LatticePolytope, x: Point):
     if any(v != 0 for v in perp):
         c0 = sum(g * p for g, p in zip(perp, P.vertices[0]))
         return False, SeparatingFunctional(tuple(perp), c0, x)
-    if d == 0:
-        return True, None
     for normal, cval in facets:
         val = sum(a * b for a, b in zip(normal, y))
         if val > cval:

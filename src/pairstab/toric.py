@@ -6,18 +6,17 @@ rank.  The extension criterion is a polytope containment; its failure is
 converted into an integer functional violating the pointwise star condition,
 so the two views refute each other constructively.  The accessible subsets
 of A are the sets A ∩ F for the faces F of conv A; they are enumerated from
-the facets, and each one is certified by an integer functional whose argmin
-is rechecked.
+the facets, which ``lattice._facets`` finds, and each one is certified by an
+integer functional whose argmin is rechecked.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _linalg
-from .lattice import WitnessError, contains, hull, solve_phase1
+from .lattice import WitnessError, _facets, contains, hull, solve_phase1
 
 IntPoint = tuple[int, ...]
 
@@ -99,13 +98,23 @@ def extension_criterion(data: ToricData) -> ExtensionResult:
     return ExtensionResult(False, u)
 
 
-def boundary_witness(A: Sequence[Sequence[int]], u: Sequence[int]) -> tuple[IntPoint, ...]:
-    """Argmin set of the pairing with u: the support of the limit point of
-    the one-parameter degeneration of a vector with full support A."""
+def _character_set(A: Sequence[Sequence[int]]) -> tuple[IntPoint, ...]:
     pts = tuple(sorted({tuple(int(c) for c in a) for a in A}))
     if not pts:
         raise ValueError("empty character set")
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("points of mixed ambient dimension")
+    return pts
+
+
+def boundary_witness(A: Sequence[Sequence[int]], u: Sequence[int]) -> tuple[IntPoint, ...]:
+    """Argmin set of the pairing with u: the support of the limit point of
+    the one-parameter degeneration of a vector with full support A.  Raises
+    ValueError on an empty or mixed-dimension A or a u of the wrong length."""
+    pts = _character_set(A)
     uu = tuple(int(c) for c in u)
+    if len(uu) != len(pts[0]):
+        raise ValueError("functional has the wrong length")
     vals = [_dot(uu, p) for p in pts]
     lo = min(vals)
     return tuple(p for p, v in zip(pts, vals) if v == lo)
@@ -126,18 +135,19 @@ def accessible_faces(A: Sequence[Sequence[int]]) -> list[FaceCertificate]:
 
     These are the sets A ∩ F for the nonempty faces F of conv A, A itself
     included.  Every proper face is an intersection of facets (Ziegler,
-    *Lectures on Polytopes*, §2.3), so the facet sets are found first, in
-    integers, and closed under intersection.  The candidates come in order
-    of size, then of their index tuples in sorted A.  For each one an LP
-    finds a functional constant on it and strictly larger on the rest; the
-    rational solution is cleared to an integer u and rechecked against
+    *Lectures on Polytopes*, §2.3), so the facet sets are found first and
+    closed under intersection.  The candidates come in order of size, then
+    of their index tuples in sorted A.  For each one an LP finds a
+    functional constant on it and strictly larger on the rest; the rational
+    solution is cleared to an integer u and rechecked against
     boundary_witness, so every returned certificate is exact.
+
+    Raises:
+        ValueError: A is empty or mixes ambient dimensions.
     """
-    pts = tuple(sorted({tuple(int(c) for c in a) for a in A}))
-    if not pts:
-        raise ValueError("empty character set")
+    pts = _character_set(A)
     dim = len(pts[0])
-    candidates = _facet_sets(pts, dim)
+    candidates = _facet_sets(pts)
     closed = set(candidates)
     while candidates:
         meets = {f & g for f in candidates for g in closed}
@@ -154,37 +164,15 @@ def accessible_faces(A: Sequence[Sequence[int]]) -> list[FaceCertificate]:
     return out
 
 
-def _facet_sets(pts: tuple[IntPoint, ...], dim: int) -> list[frozenset]:
-    """Index sets of pts on the facets of their hull, relative to its
-    affine span; none for a single point.
-
-    With k the dimension of the hull, every affinely independent k-subset T
-    has one normal orthogonal to T's differences and to the complement of
-    the span; it supports a facet on the side where T's value is extreme.
-    """
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    if not diffs:
-        return []
-    normal_to_span, _ = _linalg.int_rows(_linalg.nullspace(diffs))
-    k = dim - len(normal_to_span)
-    facets: list[frozenset] = []
-    for T in itertools.combinations(range(len(pts)), k):
-        if any(f.issuperset(T) for f in facets):
-            continue
-        t0 = pts[T[0]]
-        rows = [[a - b for a, b in zip(pts[i], t0)] for i in T[1:]] + normal_to_span
-        # rows is empty only in dimension 1, where the normal is free
-        normals = _linalg.nullspace(rows or [[0] * dim])
-        if len(normals) != 1:
-            continue
-        [n], _ = _linalg.int_rows(normals)
-        vals = [_dot(n, p) for p in pts]
-        v = vals[T[0]]
-        for extreme in (min(vals), max(vals)):
-            if v == extreme:
-                facets.append(frozenset([i for i, w in enumerate(vals) if w == v]))
-    return facets
+def _facet_sets(pts: tuple[IntPoint, ...]) -> set[frozenset]:
+    """Index sets of pts on the facets of their hull, and on some smaller
+    faces; none for a single point.  The integer coordinates at the pivot
+    columns of the differences map the affine span injectively onto a
+    full-dimensional space, so the image has the faces of conv A."""
+    cols = _linalg.echelon([[a - b for a, b in zip(p, pts[0])] for p in pts])[0]
+    ys = [[p[j] for j in cols] for p in pts]
+    planes = [([int(a) for a in n], int(c)) for n, c in _facets(ys)]
+    return {frozenset([i for i, y in enumerate(ys) if _dot(n, y) == c]) for n, c in planes}
 
 
 def _face_functional(

@@ -35,3 +35,42 @@ def test_no_unused_imports():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _dead_private_defs(modules: dict[str, str]) -> list[str]:
+    """``module.name`` of each top-level ``_``-prefixed function or class
+    that nothing outside its own definition refers to.
+
+    A reference is a name in the same module, or an attribute or an import
+    of that name anywhere.
+    """
+    defs, refs = set(), set()
+    for mod, source in modules.items():
+        for stmt in ast.parse(source).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                defs.add((mod, own))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    refs.add((mod, node.id))
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    refs.add((None, node.attr))
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update((node.module, a.name) for a in node.names)
+    return sorted(f"{m}.{n}" for m, n in defs if not {(m, n), (None, n)} & refs)
+
+
+def test_checker_flags_dead_private_definitions():
+    modules = {
+        "a": "def _called(): pass\ndef _recursive(): return _recursive()\n"
+        "class _Unused: pass\ndef _imported(): pass\ndef _attribute(): pass\n"
+        "def public(): return _called()\n",
+        # a bare name refers to its own module's definitions only
+        "b": "from .a import _imported\nfrom . import a\na._attribute()\n_recursive()\n",
+    }
+    assert _dead_private_defs(modules) == ["a._Unused", "a._recursive"]
+
+
+def test_no_dead_private_definitions():
+    modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _dead_private_defs(modules) == []

@@ -4,16 +4,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairstab import lattice
+from pairstab._linalg import primitive
 from pairstab.lattice import (
     Cocharacter,
     HeightZeroError,
+    Point,
     Weight,
+    _affine_frame,
+    _coordinate_rows,
+    _facets,
     contains,
     hull,
     member,
@@ -418,6 +425,97 @@ def test_solve_phase1_matches_fraction_pivot():
     assert bland_runs >= 25
 
 
+# ---------------------------------------------------------------------------
+# the per-dimension facet enumeration that ``lattice._facets`` replaced, kept
+# verbatim as its oracle
+
+
+def _facets_low_dim(coords: list[Point]) -> list[tuple[Point, Fraction]]:
+    """Facet inequalities n . y <= c of a full-dimensional hull in dim <= 3."""
+    d = len(coords[0]) if coords else 0
+    facets: list[tuple[Point, Fraction]] = []
+    seen: set[tuple] = set()
+
+    def consider(normal: Point) -> None:
+        # _primitive fixes the sign, so no stored normal negates another
+        normal = _primitive(normal)
+        if normal is None or normal in seen:
+            return
+        seen.add(normal)
+        vals = [sum(a * b for a, b in zip(normal, y)) for y in coords]
+        facets.append((normal, max(vals)))
+        facets.append((tuple(-a for a in normal), -min(vals)))
+
+    if d == 1:
+        consider((Fraction(1),))
+        return facets
+    if d == 2:
+        for p, q in itertools.combinations(coords, 2):
+            dx, dy = q[0] - p[0], q[1] - p[1]
+            consider((dy, -dx))
+        return facets
+    for p, q, r in itertools.combinations(coords, 3):
+        u = tuple(b - a for a, b in zip(p, q))
+        v = tuple(b - a for a, b in zip(p, r))
+        normal = (
+            u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0],
+        )
+        consider(normal)
+    return facets
+
+
+def _primitive(vec: Point) -> Optional[Point]:
+    ints = primitive(vec)
+    lead = next((v for v in ints if v), 0)
+    if not lead:
+        return None
+    return tuple([Fraction(v if lead > 0 else -v) for v in ints])
+
+
+def _flat_points(rng, ambient, k):
+    """Rational points spanning an affine k-space in Q^ambient (almost
+    always), with repeated points and points collinear or coplanar with
+    earlier ones mixed in, in random order."""
+    base = [_random_rational(rng, 3) for _ in range(ambient)]
+    dirs = [[_random_rational(rng, 3) for _ in range(ambient)] for _ in range(k)]
+    pts = []
+    for _ in range(rng.randint(k + 1, 8)):
+        ts = [_random_rational(rng, 3) for _ in dirs]
+        pts.append(tuple(b + sum(t * d[j] for t, d in zip(ts, dirs)) for j, b in enumerate(base)))
+    for _ in range(rng.randint(0, 3)):
+        p, q, r = (rng.choice(pts) for _ in range(3))
+        s, t = _random_rational(rng, 2), _random_rational(rng, 2)
+        kind = rng.choice(("repeat", "collinear", "coplanar"))
+        if kind == "repeat":
+            new = p
+        elif kind == "collinear":
+            new = tuple(a + s * (b - a) for a, b in zip(p, q))
+        else:
+            new = tuple(a + s * (b - a) + t * (c - a) for a, b, c in zip(p, q, r))
+        pts.insert(rng.randint(0, len(pts)), new)
+    return pts
+
+
+def test_facets_match_the_per_dimension_enumeration():
+    rng = random.Random(1414)
+    dims = [0] * 4
+    for k in range(2100):
+        pts = _flat_points(rng, rng.randint(k % 3 + 1, 5), k % 3 + 1)
+        # every fourth case takes the hull's vertices, as _get_hrep does
+        P = hull(pts) if k % 4 == 0 else SimpleNamespace(vertices=pts)
+        base, basis = _affine_frame(P)
+        rows = _coordinate_rows(basis)
+        coords = [
+            tuple(sum(r[j] * (v[j] - base[j]) for j in range(len(base))) for r in rows)
+            for v in P.vertices
+        ]
+        if basis:
+            assert _facets(coords) == _facets_low_dim(coords)
+        dims[len(basis)] += 1
+    assert min(dims[1:]) >= 500
+
 _FORGED_WITNESSES = """
 import sys
 from fractions import Fraction
@@ -435,26 +533,36 @@ pair = pairs.Pair(vector(Module(1, Trivial()), {(): 1}), vector(Module(1, Sym(2)
 line = toric.ToricData(A=[(0,), (1,), (2,), (3,)], B=[(0,), (1,)], dim=1)
 
 
+def patched(owner, name, value, call):
+    # each forge runs against otherwise unpatched code
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        call()
+    finally:
+        setattr(owner, name, saved)
+
+
 def forge_futaki():
-    pairs._witness_from_separator = lambda sep, n: Cocharacter((-1, 1))
-    pairs.nss_fixed_torus(pair)
+    forged = lambda sep, n: Cocharacter((-1, 1))
+    patched(pairs, "_witness_from_separator", forged, lambda: pairs.nss_fixed_torus(pair))
 
 
 def forge_star():
-    _linalg.primitive = lambda v: [0] * len(v)
-    toric.extension_criterion(line)
+    forged = lambda v: [0] * len(v)
+    patched(_linalg, "primitive", forged, lambda: toric.extension_criterion(line))
 
 
 def forge_argmin():
-    toric._face_functional = lambda pts, S, dim: (0,) * dim
-    toric.accessible_faces([(0,), (1,)])
+    forged = lambda pts, S, dim: (0,) * dim
+    patched(toric, "_face_functional", forged, lambda: toric.accessible_faces([(0,), (1,)]))
 
 
 def forge_facet():
-    lattice._membership_facets = lambda P, x: (
+    forged = lambda P, x: (
         False, SeparatingFunctional(x, Fraction(1, 2), (Fraction(2), Fraction(0)))
     )
-    lattice.member(P, (2, 0))
+    patched(lattice, "_membership_facets", forged, lambda: lattice.member(P, (2, 0)))
 
 
 checks = {

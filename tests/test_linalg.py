@@ -17,7 +17,6 @@ from pairstab.lattice import (
     SeparatingFunctional,
     _affine_frame,
     _coordinate_rows,
-    _primitive,
     _project_origin,
     hull,
 )
@@ -163,21 +162,6 @@ def _affine_frame_fraction(P):
             mat.append(row)
             basis.append(dvec)
     return base, basis
-
-
-def _primitive_fraction(vec):
-    if all(v == 0 for v in vec):
-        return None
-    den = 1
-    for c in vec:
-        den = math.lcm(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in vec]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 def _integerize_fraction(coords):
@@ -386,7 +370,6 @@ def test_primitive_matches_denominator_clearing_loops():
         vec = tuple(_q(rng, 6) if rng.random() < 0.7 else Fraction(0) for _ in range(n))
         if rng.random() < 0.1:
             vec = (Fraction(0),) * n
-        assert _primitive(vec) == _primitive_fraction(vec)
         assert tuple(_linalg.primitive(vec)) == _integerize_fraction(vec)
         if n > 1 and len(set(vec)) > 1:
             sep = SeparatingFunctional(vec, Fraction(0), vec)

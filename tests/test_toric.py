@@ -97,6 +97,16 @@ def test_boundary_witness_argmin_set():
     assert boundary_witness(pts, (0, 0)) == tuple(sorted(pts))
 
 
+def test_mixed_dimensions_and_a_wrong_length_functional_are_refused():
+    for A in ([(0,), (1, 2)], [(0, 0), (1,), (2, 5)]):
+        with pytest.raises(ValueError, match="points of mixed ambient dimension"):
+            accessible_faces(A)
+        with pytest.raises(ValueError, match="points of mixed ambient dimension"):
+            boundary_witness(A, (1, 0))
+    for u in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="functional has the wrong length"):
+            boundary_witness([(0, 0), (1, 2)], u)
+
 def test_accessible_faces_segment():
     certs = accessible_faces([(0,), (1,), (2,)])
     subsets = {c.subset for c in certs}
