@@ -12,10 +12,13 @@ This is the package's one elimination and denominator-clearing kernel:
 - ``binaryforms``: the Sylvester resultant (``det``) and the integer
   polynomials of the rational root test and Yun's algorithm (``primitive``);
 - ``rep``: the integer matrix and coefficients of ``matrix_action``
-  (``int_rows``), its determinant check and wedge minors (``echelon``), and
-  the SL(3) contraction kernel (``nullspace``);
+  (``int_rows``; ``int_vector`` clears a vector once for many actions), its
+  determinant check and wedge minors (``echelon``), and the SL(3)
+  contraction kernel (``nullspace``);
 - ``lattice``: the phase-1 rows, the integer vertex table and the
-  membership probe (``int_rows``), the affine frame (``echelon``), the Gram
+  membership probe (``int_rows``), the affine frame and the frame of the
+  hull route in dimension at most two (``int_rows`` over one common
+  denominator, then the ``echelon`` pivot columns), the Gram
   coordinates and the KKT system of ``min_norm_point`` (``solve``), and
   the facet normals, one ``echelon`` per maximal minor, made ``primitive``;
 - ``toric`` and ``pairs``: integer functionals and cocharacters cleared

@@ -10,10 +10,15 @@ for what they return:
 - the centroid support probe in ``member`` and the check of every separator
   it returns, on an integer vertex table (all vertices over one common
   denominator) that each polytope builds once;
+- the extreme points of a hull of effective dimension at most two: the
+  points over one common denominator, at the pivot columns of their
+  differences, give the ends of a segment or Andrew's monotone chain (1979)
+  in a plane; above that, one phase-1 LP per point;
 - every elimination and denominator clearing, through ``_linalg``: the
   affine frame of a polytope (a Bareiss echelon), its Gram coordinate rows
-  and the KKT systems of ``min_norm_point`` (fraction-free solves), and the
-  facet normals, the primitive maximal minors of integer difference rows
+  (the vertices' coordinates in them are integer dot products) and the KKT
+  systems of ``min_norm_point`` (fraction-free solves), and the facet
+  normals, the primitive maximal minors of integer difference rows
   (``_facets``, which ``toric`` shares).
 
 Weights are integer lattice points considered up to adding a constant vector
@@ -30,6 +35,7 @@ agree and the LP stays the reference implementation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -84,8 +90,8 @@ class Weight:
 
     def traceless(self) -> Point:
         """Representative with coordinate sum zero (rational in general)."""
-        mean = Fraction(sum(self.coords), len(self.coords))
-        return tuple([Fraction(c) - mean for c in self.coords])
+        n, total = len(self.coords), sum(self.coords)
+        return tuple([Fraction(n * c - total, n) for c in self.coords])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Weight):
@@ -334,16 +340,44 @@ def hull(points: Iterable[Sequence]) -> LatticePolytope:
 def _extreme_points(pts: list[Point]) -> list[Point]:
     if len(pts) <= 2:
         return pts
+    d = len(pts[0])
+    [flat], _ = int_rows([[c for p in pts for c in p]])
+    ints = [flat[i : i + d] for i in range(0, len(flat), d)]
     # equal-norm shortcut: distinct points on a sphere are all extreme,
     # by strict convexity of the ball
-    norms = {sum(c * c for c in p) for p in pts}
-    if len(norms) == 1:
+    if len({sum([c * c for c in p]) for p in ints}) == 1:
         return pts
-    keep = []
-    for i, p in enumerate(pts):
-        others = [q for j, q in enumerate(pts) if j != i]
-        if not _in_hull_lp(others, p).feasible:
-            keep.append(p)
+    # the pivot columns of the differences map the affine hull injectively
+    # onto Q^k, k its dimension, so the extreme points stay extreme
+    diffs = [[a - b for a, b in zip(p, ints[0])] for p in ints]
+    cols = echelon(diffs[1:])[0]
+    if len(cols) <= 2:
+        keep = _monotone_chain([[r[j] for j in cols] + [0] * (2 - len(cols)) for r in diffs])
+        return [p for i, p in enumerate(pts) if i in keep]
+    return [
+        p
+        for i, p in enumerate(pts)
+        if not _in_hull_lp(pts[:i] + pts[i + 1 :], p).feasible
+    ]
+
+
+def _monotone_chain(ys: list[list[int]]) -> set[int]:
+    """Indices of the corners of the hull of distinct points in Z^2, by
+    Andrew's monotone chain (1979); the strict turn test drops points inside
+    an edge, and collinear points keep their two ends."""
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    keep: set[int] = set()
+    for seq in (order, order[::-1]):
+        chain: list[int] = []
+        for k in seq:
+            (x, y) = ys[k]
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = ys[chain[-2]], ys[chain[-1]]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append(k)
+        keep.update(chain)
     return keep
 
 
@@ -468,14 +502,23 @@ def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
     once; each d-subset, in ``combinations`` order, has the signed maximal
     minors of its difference rows as normal (all zero when it is affinely
     dependent), made primitive with first nonzero entry positive.  The
-    first subset on each line appends (n, max), then (-n, -min)."""
+    first subset on each line appends (n, max), then (-n, -min).  A subset
+    whose points all lie on one of these planes is skipped: its normal is
+    that plane's or zero."""
     d = len(coords[0])
     [flat], den = int_rows([[c for y in coords for c in y]])
     ys = [flat[i * d : i * d + d] for i in range(len(coords))]
     facets: list[tuple[Point, Fraction]] = []
     seen: set[tuple] = set()
-    for T in itertools.combinations(ys, d):
-        rows = [[a - b for a, b in zip(y, T[0])] for y in T[1:]]
+    # bit b of on[i] is set when point i lies on the b-th plane found; the
+    # empty subset of d = 0, which has no normal, meets the -1 and is skipped
+    on = [0] * len(ys)
+    bit = 1
+    for T in itertools.combinations(range(len(ys)), d):
+        if functools.reduce(operator.and_, [on[i] for i in T], -1):
+            continue
+        y0 = ys[T[0]]
+        rows = [[a - b for a, b in zip(ys[i], y0)] for i in T[1:]]
         minors = [(-1) ** j * echelon([r[:j] + r[j + 1 :] for r in rows])[1] for j in range(d)]
         normal = primitive(minors)
         lead = next((v for v in normal if v), 0)
@@ -484,8 +527,14 @@ def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
             continue
         seen.add(normal)
         vals = [sum(map(operator.mul, normal, y)) for y in ys]
-        facets.append((tuple([Fraction(v) for v in normal]), Fraction(max(vals), den)))
-        facets.append((tuple([Fraction(-v) for v in normal]), Fraction(-min(vals), den)))
+        top, bottom = max(vals), min(vals)
+        facets.append((tuple([Fraction(v) for v in normal]), Fraction(top, den)))
+        facets.append((tuple([Fraction(-v) for v in normal]), Fraction(-bottom, den)))
+        for c in (top, bottom):
+            for i, v in enumerate(vals):
+                if v == c:
+                    on[i] |= bit
+            bit <<= 1
     return facets
 
 
@@ -500,9 +549,16 @@ def _get_hrep(P: LatticePolytope):
     frame = None
     if d <= 3:
         rows = _coordinate_rows(basis)
+        # rows . (v - base) for every vertex, in integers over rden * vden
+        n = P.ambient
+        [rflat], rden = int_rows([[x for r in rows for x in r]])
+        [vflat], vden = int_rows([[c for v in P.vertices for c in v]])
         coords = [
-            tuple(sum(r[j] * (v[j] - base[j]) for j in range(P.ambient)) for r in rows)
-            for v in P.vertices
+            tuple([
+                Fraction(sum(map(operator.mul, rflat[k : k + n], diff)), rden * vden)
+                for k in range(0, len(rflat), n)
+            ])
+            for diff in ([a - b for a, b in zip(vflat[i : i + n], vflat)] for i in range(0, len(vflat), n))
         ]
         frame = (base, rows, basis, _facets(coords))
     hrep = (d, frame)

@@ -37,6 +37,7 @@ from .rep import (
     Trivial,
     WeightedVector,
     image_supports,
+    int_vector,
     matrix_action,
     weight_polytope,
 )
@@ -165,13 +166,14 @@ Verdict = Union[Unstable, NotRefuted, ProvenSemistable]
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
+    return _fraction_matrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
-def random_conjugator(rng: random.Random, n: int) -> Matrix:
+def _fraction_matrix(sigma: Sequence[Sequence]) -> Matrix:
+    return tuple([tuple([Fraction(x) for x in row]) for row in sigma])
+
+
+def _int_conjugator(rng: random.Random, n: int) -> list[list[int]]:
     """Product of 3 to 6 elementary matrices with entries in [-3, 3]."""
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(3, 6)):
@@ -180,7 +182,12 @@ def random_conjugator(rng: random.Random, n: int) -> Matrix:
         # right-multiply by I + c E_ij
         for r in range(n):
             mat[r][j] += c * mat[r][i]
-    return tuple(tuple([Fraction(x) for x in row]) for row in mat)
+    return mat
+
+
+def random_conjugator(rng: random.Random, n: int) -> Matrix:
+    """``_int_conjugator``'s draw as a ``Fraction`` matrix."""
+    return _fraction_matrix(_int_conjugator(rng, n))
 
 
 def conjugate_pair(p: Pair, sigma: Sequence[Sequence]) -> Pair:
@@ -244,20 +251,23 @@ def _order_refutes(f: list[int], g: list[int], sigma: Matrix) -> bool:
 
 
 def _first_refutation(
-    p: Pair, sigmas: Iterable[Matrix], contained: set
+    p: Pair, sigmas: Iterable[Sequence[Sequence]], contained: set
 ) -> Optional[Unstable]:
     """The first conjugator whose torus refutes the pair, or None.
 
     The test at a torus sees only the supports of the conjugated pair, so
     ``contained`` collects the support pairs already shown contained, and
     only a new one is conjugated and tested; the first refuter is the same.
+    The pair is cleared once; conjugators may hold ints, and the refuting
+    one is returned in ``Fraction``.
     """
+    vectors = (int_vector(p.v), int_vector(p.w))
     for sigma in sigmas:
-        key = image_supports(sigma, (p.v, p.w))
+        key = image_supports(sigma, vectors)
         if key not in contained:
             res = nss_fixed_torus(conjugate_pair(p, sigma))
             if not res:
-                return Unstable(sigma, res.witness, res.futaki)
+                return Unstable(_fraction_matrix(sigma), res.witness, res.futaki)
             contained.add(key)
     return None
 
@@ -311,7 +321,8 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
     fixed = nss_fixed_torus(p)
     if not fixed:
         return Unstable(identity_matrix(p.N + 1), fixed.witness, fixed.futaki)
-    sigmas = (random_conjugator(rng, p.N + 1) for _ in range(samples))
+    # integer conjugators: a refuting one leaves the sweep as Fractions
+    sigmas = (_int_conjugator(rng, p.N + 1) for _ in range(samples))
     refuted = _first_refutation(p, sigmas, {(p.v.support(), p.w.support())})
     return refuted or NotRefuted(samples + 1)
 

@@ -3,7 +3,8 @@
 Supported shapes: symmetric powers in the monomial basis, wedge powers in the
 sorted-subset basis, pure tensor products of those, and the trivial module.
 All actions are computed by exact substitution and expansion in integers,
-with one division restoring the rational coefficients.
+with one division restoring the rational coefficients.  A Sym key's image is
+a product of powers of the matrix's column forms, which every key shares.
 The Weyl group is the full set of coordinate permutations.
 
 Vectors are stored with coefficients keyed by basis element, not by weight:
@@ -16,9 +17,10 @@ from __future__ import annotations
 import itertools
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from . import _linalg
 from .lattice import LatticePolytope, Weight, hull
@@ -232,6 +234,23 @@ def vector(module: Module, entries: Mapping | Iterable) -> WeightedVector:
     return WeightedVector(module, tuple((k, Fraction(c)) for k, c in items))
 
 
+class IntVector(NamedTuple):
+    """A vector's coefficients times q, their least common denominator, as
+    ints: ``int_vector`` clears once for a caller acting many times."""
+
+    module: Module
+    keys: list
+    coeffs: list[int]
+    q: int
+
+
+def int_vector(v: WeightedVector | IntVector) -> IntVector:
+    if isinstance(v, IntVector):
+        return v
+    [cs], q = _linalg.int_rows([[c for _, c in v.coeffs]])
+    return IntVector(v.module, [k for k, _ in v.coeffs], cs, q)
+
+
 def weight_polytope(v: WeightedVector) -> LatticePolytope:
     """Hull of the traceless representatives of the support."""
     return hull([Weight(w).traceless() for w in v.support()])
@@ -252,7 +271,9 @@ def matrix_action(
     sigma is cleared once to an integer matrix over one common denominator
     m, the coefficients of v over one denominator q, and every image
     coefficient is homogeneous of the shape's degree h in the matrix
-    entries, so one division by q * m**h restores it.
+    entries, so one division by q * m**h restores it.  The powers L_i^e of
+    the column forms L_i = sum_j sigma[j][i] x_j are built once per matrix,
+    and each Sym key's image is a product of them.
 
     Raises:
         ValueError: wrong matrix size, determinant not one, or a shape
@@ -265,31 +286,37 @@ def matrix_action(
     return WeightedVector(v.module, coeffs)
 
 
-def image_supports(sigma: Sequence[Sequence], vectors: Sequence[WeightedVector]) -> tuple:
-    """The supports of sigma.v for vectors v over one group, from one
-    clearing of sigma; they need only which image coefficients are nonzero."""
+def image_supports(sigma: Sequence[Sequence], vectors: Sequence) -> tuple:
+    """The supports of sigma.v for vectors v over one group (WeightedVectors
+    or IntVectors), from one clearing of sigma; they need only which image
+    coefficients are nonzero."""
     return tuple(
         tuple(sorted({v.module.weight_of(k) for k, a in out.items() if a}))
         for v, (out, _) in zip(vectors, _int_images(sigma, vectors))
     )
 
 
-def _int_images(sigma: Sequence[Sequence], vectors: Sequence[WeightedVector]) -> Iterable:
+def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
     """(den * sigma.v by basis key, zeros kept, as ints; den) for each v."""
     n = vectors[0].module.n_vars
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
-    [flat], m = _linalg.int_rows([[Fraction(x) for row in sigma for x in row]])
+    entries = [x if type(x) is int else Fraction(x) for row in sigma for x in row]
+    [flat], m = _linalg.int_rows([entries])
     mat = [flat[i * n : (i + 1) * n] for i in range(n)]
     if _linalg.echelon(mat[:])[1] != m**n:
         raise ValueError("matrix determinant must be exactly 1")
-    for v in vectors:
-        [cs], q = _linalg.int_rows([[c for _, c in v.coeffs]])
+    # the linear forms L_i = sum_j mat[j][i] x_j of the columns, seeding the
+    # powers L_i^e that every Sym key of every vector shares
+    units = [tuple([int(j == k) for k in range(n)]) for j in range(n)]
+    powers = {(i, 1): {u: row[i] for u, row in zip(units, mat) if row[i]} for i in range(n)}
+    for v in map(int_vector, vectors):
         out: dict = {}
-        for (key, _), c in zip(v.coeffs, cs):
-            for new_key, a in _key_action(v.module.shape, n, mat, key).items():
-                out[new_key] = out.get(new_key, 0) + c * a
-        yield out, q * m ** _degree(v.module.shape)
+        get = out.get
+        for key, c in zip(v.keys, v.coeffs):
+            for new_key, a in _key_action(v.module.shape, mat, powers, key).items():
+                out[new_key] = get(new_key, 0) + c * a
+        yield out, v.q * m ** _degree(v.module.shape)
 
 
 def _degree(shape: Shape) -> int:
@@ -299,15 +326,19 @@ def _degree(shape: Shape) -> int:
     return 0 if isinstance(shape, Trivial) else shape.degree
 
 
-def _key_action(shape: Shape, n: int, mat: list[list[int]], key) -> dict:
+def _key_action(shape: Shape, mat: list[list[int]], powers: dict, key) -> dict:
+    """Image of one basis key under the integer matrix ``mat``; ``powers``
+    holds the powers of mat's column forms, shared by every Sym key."""
+    n = len(mat)
+    if isinstance(shape, Sym):
+        poly = None
+        for i, e in enumerate(key):
+            if e:
+                power = _column_power(powers, i, e)
+                poly = power if poly is None else _poly_mul(poly, power)
+        return {(0,) * n: 1} if poly is None else poly
     if isinstance(shape, Trivial):
         return {(): 1}
-    if isinstance(shape, Sym):
-        poly = {(0,) * n: 1}
-        for i, e in enumerate(key):
-            for _ in range(e):
-                poly = _poly_mul_linear(poly, [row[i] for row in mat])
-        return poly
     if isinstance(shape, Wedge):
         out = {}
         for rows in itertools.combinations(range(n), len(key)):
@@ -316,7 +347,7 @@ def _key_action(shape: Shape, n: int, mat: list[list[int]], key) -> dict:
                 out[rows] = d
         return out
     if isinstance(shape, Tensor):
-        parts = [_key_action(f, n, mat, k) for f, k in zip(shape.factors, key)]
+        parts = [_key_action(f, mat, powers, k) for f, k in zip(shape.factors, key)]
         return {
             tuple(k for k, _ in combo): math.prod(c for _, c in combo)
             for combo in itertools.product(*(p.items() for p in parts))
@@ -324,15 +355,22 @@ def _key_action(shape: Shape, n: int, mat: list[list[int]], key) -> dict:
     raise ValueError("no action implemented for shape %r" % (shape,))
 
 
-def _poly_mul_linear(poly: dict, linear: Sequence[int]) -> dict:
+def _column_power(powers: dict, i: int, e: int) -> dict:
+    """L_i^e as {exponent tuple: int}, from L_i^(e-1), kept in ``powers``."""
+    got = powers.get((i, e))
+    if got is None:
+        got = powers[i, e] = _poly_mul(_column_power(powers, i, e - 1), powers[i, 1])
+    return got
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    """Product of two polynomials given as {exponent tuple: coefficient}."""
     out: dict = {}
-    terms = [(j, a) for j, a in enumerate(linear) if a]
-    for exp, c in poly.items():
-        for j, a in terms:
-            new = list(exp)
-            new[j] += 1
-            new = tuple(new)
-            out[new] = out.get(new, 0) + c * a
+    get = out.get
+    for e1, a in p.items():
+        for e2, b in q.items():
+            e = tuple([*map(operator.add, e1, e2)])
+            out[e] = get(e, 0) + a * b
     return out
 
 

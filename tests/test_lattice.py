@@ -20,7 +20,9 @@ from pairstab.lattice import (
     Weight,
     _affine_frame,
     _coordinate_rows,
+    _extreme_points,
     _facets,
+    _in_hull_lp,
     contains,
     hull,
     member,
@@ -484,6 +486,12 @@ def _flat_points(rng, ambient, k):
     for _ in range(rng.randint(k + 1, 8)):
         ts = [_random_rational(rng, 3) for _ in dirs]
         pts.append(tuple(b + sum(t * d[j] for t, d in zip(ts, dirs)) for j, b in enumerate(base)))
+    return _mix_in(rng, pts)
+
+
+def _mix_in(rng, pts):
+    """pts with up to three repeated points, or points collinear or coplanar
+    with earlier ones, inserted at random places."""
     for _ in range(rng.randint(0, 3)):
         p, q, r = (rng.choice(pts) for _ in range(3))
         s, t = _random_rational(rng, 2), _random_rational(rng, 2)
@@ -515,6 +523,59 @@ def test_facets_match_the_per_dimension_enumeration():
             assert _facets(coords) == _facets_low_dim(coords)
         dims[len(basis)] += 1
     assert min(dims[1:]) >= 500
+
+
+# ---------------------------------------------------------------------------
+# the LP loop that ``lattice._extreme_points`` runs only above dimension two,
+# kept verbatim as the oracle of its integer route
+
+
+def _extreme_points_lp(pts: list[Point]) -> list[Point]:
+    if len(pts) <= 2:
+        return pts
+    # equal-norm shortcut: distinct points on a sphere are all extreme,
+    # by strict convexity of the ball
+    norms = {sum(c * c for c in p) for p in pts}
+    if len(norms) == 1:
+        return pts
+    keep = []
+    for i, p in enumerate(pts):
+        others = [q for j, q in enumerate(pts) if j != i]
+        if not _in_hull_lp(others, p).feasible:
+            keep.append(p)
+    return keep
+
+
+def _low_dim_points(rng, ambient, k):
+    """Rational points in an affine k-space of Q^ambient, from integer
+    parameters (lattice points, so many lie inside an edge) or rational
+    ones, mixed in as in ``_flat_points``."""
+    base = [_random_rational(rng, 3) for _ in range(ambient)]
+    dirs = [[_random_rational(rng, 3) for _ in range(ambient)] for _ in range(k)]
+    grid = rng.random() < 0.5
+    pts = []
+    for _ in range(rng.randint(k + 1, 9)):
+        ts = [Fraction(rng.randint(-2, 2)) if grid else _random_rational(rng, 3) for _ in dirs]
+        pts.append(tuple(b + sum(t * d[j] for t, d in zip(ts, dirs)) for j, b in enumerate(base)))
+    return _mix_in(rng, pts)
+
+
+def test_low_dimensional_hull_matches_the_lp_route():
+    rng = random.Random(1979)
+    dims = [0] * 3
+    pruned = 0
+    for i in range(2400):
+        k = i % 3
+        raw = _low_dim_points(rng, rng.randint(max(k, 1), 5), k)
+        pts = sorted({tuple(Fraction(c) for c in p) for p in raw})
+        expected = _extreme_points_lp(pts)
+        assert _extreme_points(pts) == expected
+        assert hull(raw).vertices == tuple(expected)
+        dims[len(_affine_frame(SimpleNamespace(vertices=pts))[1])] += 1
+        pruned += len(expected) < len(pts)
+    assert min(dims) >= 600, dims
+    assert pruned >= 1000, pruned
+
 
 _FORGED_WITNESSES = """
 import sys

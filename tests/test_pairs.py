@@ -289,6 +289,33 @@ def test_random_conjugator_matches_fraction_build():
     assert new.random() == old.random()
 
 
+def test_int_conjugator_draws_what_random_conjugator_draws():
+    # the sweep's integer draws: the same matrices and the same generator
+    # state as random_conjugator and the Fraction build above
+    ints, fractions, old = random.Random(12), random.Random(12), random.Random(12)
+    for k in range(600):
+        n = 2 + k % 3
+        sigma = pairs._int_conjugator(ints, n)
+        assert {type(x) for row in sigma for x in row} == {int}
+        wrapped = tuple(tuple(Fraction(x) for x in row) for row in sigma)
+        assert repr(wrapped) == repr(random_conjugator(fractions, n))
+        assert repr(wrapped) == repr(_random_conjugator_fraction(old, n))
+        assert ints.getstate() == fractions.getstate() == old.getstate()
+
+
+def test_swept_conjugator_is_a_fraction_matrix():
+    rng = random.Random(41)
+    swept = 0
+    for i in range(400):
+        verdict = nss_check(_sl3_pair(rng), samples=16, seed=i)
+        if isinstance(verdict, Unstable) and verdict.conjugator != identity_matrix(3):
+            assert isinstance(verdict.conjugator, tuple)
+            assert all(isinstance(row, tuple) for row in verdict.conjugator)
+            assert {type(x) for row in verdict.conjugator for x in row} == {Fraction}
+            swept += 1
+    assert swept >= 30, swept
+
+
 # ---------------------------------------------------------------------------
 # the support-memoised sweep against the sweep without the memo
 
