@@ -15,12 +15,14 @@ This is the package's one elimination and denominator-clearing kernel:
   (``int_rows``; ``int_vector`` clears a vector once for many actions), its
   determinant check and wedge minors (``echelon``), and the SL(3)
   contraction kernel (``nullspace``);
-- ``lattice``: the phase-1 rows, the integer vertex table and the
-  membership probe (``int_rows``), the affine frame and the frame of the
-  hull route in dimension at most two (``int_rows`` over one common
-  denominator, then the ``echelon`` pivot columns), the Gram
-  coordinates and the KKT system of ``min_norm_point`` (``solve``), and
-  the facet normals, one ``echelon`` per maximal minor, made ``primitive``;
+- ``lattice``: the phase-1 rows, the vertex table (all vertices over one
+  common denominator), the queries and the separator checks
+  (``int_rows``), the affine frame of the facet route and the frame of the
+  hull route in dimension at most two (the ``echelon`` pivot columns of
+  integer differences), the Gram rows adj(G) B and det G of the facet
+  route (``cramer``), the KKT system of ``min_norm_point`` (``solve``),
+  and the facet normals, one ``echelon`` per maximal minor, made
+  ``primitive``;
 - ``toric`` and ``pairs``: integer functionals and cocharacters cleared
   from rational separators, and the forms and points of the SL(2) order
   test (``primitive``); the coordinates that ``toric`` hands to the
@@ -94,14 +96,20 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[list[list[Fraction]]]:
     """X with A X = B, for a square rational A and B with as many rows, or
-    None when A is singular.
+    None when A is singular."""
+    got = cramer(int_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])[0], len(a))
+    return None if got is None else [[Fraction(v, got[1]) for v in r] for r in got[0]]
 
-    One echelon of the integer rows [A | B], then back substitution on the
-    triangle: with D its last pivot, D times every entry of X is an integer
-    (Cramer's rule), so each division is exact.
+
+def cramer(rows: list[list[int]], n: int) -> Optional[tuple[list[list[int]], int]]:
+    """(D X, D) with A X = B, for integer rows [A | B] with A square of size
+    n, or None when A is singular; the rows are eliminated in place.
+
+    One echelon of the rows, then back substitution on the triangle: with D
+    its last pivot, which is det A up to the sign of the row swaps, D times
+    every entry of X is an integer (Cramer's rule), so each division is
+    exact.
     """
-    n = len(a)
-    rows, _ = int_rows([list(ra) + list(rb) for ra, rb in zip(a, b)])
     if echelon(rows)[0] != list(range(n)):
         return None
     d = rows[-1][n - 1] if n else 1
@@ -112,7 +120,7 @@ def solve(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[list[list[Fr
             (d * row[c] - sum(row[j] * dx[j][c - n] for j in range(i + 1, n))) // row[i]
             for c in range(n, len(row))
         ]
-    return [[Fraction(v, d) for v in r] for r in dx]
+    return dx, d
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:

@@ -156,23 +156,24 @@ def default_grid(tmin: float = 1e-6, per_decade: int = 4) -> tuple[float, ...]:
 
 def _exponent_weights(
     v: WeightedVector, u: Cocharacter, H: HermitianStructure
-) -> dict[int, Fraction]:
-    """Exact map exponent -> sum of c^2 * basis norm over keys the
-    cocharacter scales by t^exponent."""
-    out: dict[int, Fraction] = {}
+) -> tuple[list[tuple[int, float]], int]:
+    """The terms (2 (e - emin), S_e) of ``_log_norm_sq`` and the minimal
+    exponent emin: S_e, summed exactly and converted to float once, is the
+    sum of c^2 * basis norm over keys the cocharacter scales by t^e."""
+    exps: dict[int, Fraction] = {}
     for key, c in v.coeffs:
         e = pairing(v.module.weight_of(key), u)
-        out[e] = out.get(e, Fraction(0)) + c * c * H.basis_norm_sq(key)
-    return out
+        exps[e] = exps.get(e, Fraction(0)) + c * c * H.basis_norm_sq(key)
+    emin = min(exps)
+    return [(2 * (e - emin), float(s)) for e, s in exps.items()], emin
 
 
-def _log_norm_sq(exps: dict[int, Fraction], t: float) -> float:
+def _log_norm_sq(terms: list[tuple[int, float]], emin: int, t: float) -> float:
     """log sum_e S_e t^(2e), factored through the minimal exponent so the
     value stays finite for t near 0."""
-    emin = min(exps)
     acc = 0.0
-    for e, s in exps.items():
-        acc += float(s) * t ** (2 * (e - emin))
+    for k, s in terms:
+        acc += s * t**k
     return 2.0 * emin * math.log(t) + math.log(acc)
 
 
@@ -191,9 +192,9 @@ def energy_along_1ps(
         raise ValueError("grid values must lie in (0, 1]")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("grid must be strictly decreasing")
-    ev = _exponent_weights(p.v, u, hv)
-    ew = _exponent_weights(p.w, u, hw)
-    samples = tuple((t, _log_norm_sq(ew, t) - _log_norm_sq(ev, t)) for t in ts)
+    tv, ev = _exponent_weights(p.v, u, hv)
+    tw, ew = _exponent_weights(p.w, u, hw)
+    samples = tuple((t, _log_norm_sq(tw, ew, t) - _log_norm_sq(tv, ev, t)) for t in ts)
     for _, nu in samples:
         if not math.isfinite(nu):
             raise AssertionError("profile value is not finite")

@@ -7,19 +7,21 @@ for what they return:
 
 - the phase-1 simplex, a fraction-free tableau (row denominators cleared
   once, one running pivot denominator, every division exact);
-- the centroid support probe in ``member`` and the check of every separator
-  it returns, on an integer vertex table (all vertices over one common
-  denominator) that each polytope builds once;
+- the vertex table of every polytope: its vertices over one common
+  denominator, as ints, cleared once when the hull is built;
+- the centroid support probe in ``member`` and the check of every separator,
+  on that table;
 - the extreme points of a hull of effective dimension at most two: the
-  points over one common denominator, at the pivot columns of their
-  differences, give the ends of a segment or Andrew's monotone chain (1979)
-  in a plane; above that, one phase-1 LP per point;
-- every elimination and denominator clearing, through ``_linalg``: the
-  affine frame of a polytope (a Bareiss echelon), its Gram coordinate rows
-  (the vertices' coordinates in them are integer dot products) and the KKT
-  systems of ``min_norm_point`` (fraction-free solves), and the facet
-  normals, the primitive maximal minors of integer difference rows
-  (``_facets``, which ``toric`` shares).
+  points at the pivot columns of their differences give the ends of a
+  segment or Andrew's monotone chain (1979) in a plane; above that, one
+  phase-1 LP per point;
+- the whole facet route (effective dimension at most three), on that table:
+  the affine frame (a Bareiss echelon of the differences), the Gram rows
+  adj(G) B over det G (``_linalg.cramer``), the facet normals, the primitive
+  maximal minors of integer difference rows (``_facets``, which ``toric``
+  shares), and every query; only a returned separator is built in
+  ``Fraction``;
+- the KKT systems of ``min_norm_point`` (``_linalg.solve``).
 
 Weights are integer lattice points considered up to adding a constant vector
 (1, ..., 1), cocharacters are integer vectors with coordinate sum zero, and
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._linalg import echelon, int_rows, primitive, solve
+from ._linalg import cramer, echelon, int_rows, primitive, solve
 
 Point = tuple[Fraction, ...]
 
@@ -292,12 +294,15 @@ class LatticePolytope:
 
     Construction canonicalizes: points are converted to ``Fraction`` tuples,
     deduplicated, pruned down to the extreme points, and sorted, so equal
-    hulls compare equal as dataclasses.
+    hulls compare equal as dataclasses.  It also keeps the vertex table
+    (den, W, sums): a common denominator, the vertices times it as int rows,
+    and the sum of each coordinate over W, ``len(vertices) * den`` times the
+    centroid.
     """
 
     vertices: tuple[Point, ...]
     _hrep: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _itab: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _itab: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = [_to_point(p) for p in self.vertices]
@@ -306,8 +311,9 @@ class LatticePolytope:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points of mixed ambient dimension")
-        pts = sorted(set(pts))
-        object.__setattr__(self, "vertices", tuple(_extreme_points(pts)))
+        verts, den, ints = _extreme_points(sorted(set(pts)))
+        object.__setattr__(self, "vertices", tuple(verts))
+        object.__setattr__(self, "_itab", (den, ints, [sum(c) for c in zip(*ints)]))
 
     @property
     def ambient(self) -> int:
@@ -337,28 +343,26 @@ def hull(points: Iterable[Sequence]) -> LatticePolytope:
     return LatticePolytope(tuple(tuple(p) for p in points))
 
 
-def _extreme_points(pts: list[Point]) -> list[Point]:
-    if len(pts) <= 2:
-        return pts
+def _extreme_points(pts: list[Point]) -> tuple[list[Point], int, list[list[int]]]:
+    """The extreme points among distinct points, with a common denominator
+    ``den`` of all the points and the extreme points times it, as ints."""
     d = len(pts[0])
-    [flat], _ = int_rows([[c for p in pts for c in p]])
+    [flat], den = int_rows([[c for p in pts for c in p]])
     ints = [flat[i : i + d] for i in range(0, len(flat), d)]
+    keep = range(len(pts))
     # equal-norm shortcut: distinct points on a sphere are all extreme,
     # by strict convexity of the ball
-    if len({sum([c * c for c in p]) for p in ints}) == 1:
-        return pts
-    # the pivot columns of the differences map the affine hull injectively
-    # onto Q^k, k its dimension, so the extreme points stay extreme
-    diffs = [[a - b for a, b in zip(p, ints[0])] for p in ints]
-    cols = echelon(diffs[1:])[0]
-    if len(cols) <= 2:
-        keep = _monotone_chain([[r[j] for j in cols] + [0] * (2 - len(cols)) for r in diffs])
-        return [p for i, p in enumerate(pts) if i in keep]
-    return [
-        p
-        for i, p in enumerate(pts)
-        if not _in_hull_lp(pts[:i] + pts[i + 1 :], p).feasible
-    ]
+    if len(pts) > 2 and len({sum([c * c for c in p]) for p in ints}) > 1:
+        # the pivot columns of the differences map the affine hull
+        # injectively onto Q^k, k its dimension, so the extreme points stay
+        # extreme
+        diffs = [[a - b for a, b in zip(p, ints[0])] for p in ints]
+        cols = echelon(diffs[1:])[0]
+        if len(cols) <= 2:
+            keep = sorted(_monotone_chain([[r[j] for j in cols] + [0] * (2 - len(cols)) for r in diffs]))
+        else:
+            keep = [i for i, p in enumerate(pts) if not _in_hull_lp(pts[:i] + pts[i + 1 :], p).feasible]
+    return [pts[i] for i in keep], den, [ints[i] for i in keep]
 
 
 def _monotone_chain(ys: list[list[int]]) -> set[int]:
@@ -477,38 +481,29 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
 
 
 # -- facet cache (effective dimension <= 3), one enumerator for every dimension
+#
+# The frame runs on the vertex table W = den * V.  Its basis B holds the
+# first differences W_v - W_0, in vertex order, independent of the earlier
+# ones.  With G = B B^T, delta = det G > 0 and R = adj(G) B, the Gram
+# coordinates of x - V_0 in the basis B / den are R (den x - W_0) / delta.
+# So the vertices' coordinates times delta are the integers R (W_v - W_0),
+# and a query x = xq / q is decided on the integers z = R (den xq - q W_0).
 
 
-def _affine_frame(P: LatticePolytope):
-    """Base point and a basis of the affine hull's direction space: the
-    first differences ``v - base``, in vertex order, independent of the
-    earlier ones (the pivot columns of the differences as columns)."""
-    base = P.vertices[0]
-    diffs = [tuple([a - b for a, b in zip(v, base)]) for v in P.vertices[1:]]
-    rows, _ = int_rows(zip(*diffs))
-    return base, [diffs[j] for j in echelon(rows)[0]]
-
-
-def _coordinate_rows(basis: list[Point]) -> list[Point]:
-    """The d x ambient matrix with coord(x) = rows . (x - base): Gram-based
-    affine coordinates, G^{-1} B (x - base), exact."""
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
-    return [tuple(r) for r in solve(gram, basis)]
-
-
-def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
+def _facets(ys: list[Sequence]) -> list[tuple[tuple[int, ...], int]]:
     """Inequalities n . y <= c valid on the hull of full-dimensional points
-    in Q^d, every facet among them.  The points are cleared to integers
-    once; each d-subset, in ``combinations`` order, has the signed maximal
-    minors of its difference rows as normal (all zero when it is affinely
-    dependent), made primitive with first nonzero entry positive.  The
-    first subset on each line appends (n, max), then (-n, -min).  A subset
+    in Q^d, every facet among them; integer points give integer pairs.  The
+    points are cleared to integers once for the normals; each d-subset, in
+    ``combinations`` order, has the signed maximal minors of its difference
+    rows as normal (all zero when it is affinely dependent), made primitive
+    with first nonzero entry positive.  The first subset on each line
+    appends (n, max), then (-n, -min), over the given points.  A subset
     whose points all lie on one of these planes is skipped: its normal is
     that plane's or zero."""
-    d = len(coords[0])
-    [flat], den = int_rows([[c for y in coords for c in y]])
-    ys = [flat[i * d : i * d + d] for i in range(len(coords))]
-    facets: list[tuple[Point, Fraction]] = []
+    d = len(ys[0])
+    [flat], _ = int_rows([[c for y in ys for c in y]])
+    ints = [flat[i * d : i * d + d] for i in range(len(ys))]
+    facets: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple] = set()
     # bit b of on[i] is set when point i lies on the b-th plane found; the
     # empty subset of d = 0, which has no normal, meets the -1 and is skipped
@@ -517,8 +512,8 @@ def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
     for T in itertools.combinations(range(len(ys)), d):
         if functools.reduce(operator.and_, [on[i] for i in T], -1):
             continue
-        y0 = ys[T[0]]
-        rows = [[a - b for a, b in zip(ys[i], y0)] for i in T[1:]]
+        y0 = ints[T[0]]
+        rows = [[a - b for a, b in zip(ints[i], y0)] for i in T[1:]]
         minors = [(-1) ** j * echelon([r[:j] + r[j + 1 :] for r in rows])[1] for j in range(d)]
         normal = primitive(minors)
         lead = next((v for v in normal if v), 0)
@@ -528,8 +523,8 @@ def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
         seen.add(normal)
         vals = [sum(map(operator.mul, normal, y)) for y in ys]
         top, bottom = max(vals), min(vals)
-        facets.append((tuple([Fraction(v) for v in normal]), Fraction(top, den)))
-        facets.append((tuple([Fraction(-v) for v in normal]), Fraction(-bottom, den)))
+        facets.append((normal, top))
+        facets.append((tuple([-v for v in normal]), -bottom))
         for c in (top, bottom):
             for i, v in enumerate(vals):
                 if v == c:
@@ -540,77 +535,56 @@ def _facets(coords: list[Point]) -> list[tuple[Point, Fraction]]:
 
 def _get_hrep(P: LatticePolytope):
     """(effective dimension, frame), cached on the polytope.  The frame
-    (base, rows, basis, facets) serves the facet route and is kept only for
-    effective dimension at most three."""
+    (B, R, delta, facets over delta) serves the facet route and is kept only
+    for effective dimension at most three."""
     if P._hrep is not None:
         return P._hrep
-    base, basis = _affine_frame(P)
+    ints = P._itab[1]
+    diffs = [[a - b for a, b in zip(w, ints[0])] for w in ints[1:]]
+    basis = [diffs[j] for j in echelon([list(c) for c in zip(*diffs)])[0]]
     d = len(basis)
     frame = None
     if d <= 3:
-        rows = _coordinate_rows(basis)
-        # rows . (v - base) for every vertex, in integers over rden * vden
-        n = P.ambient
-        [rflat], rden = int_rows([[x for r in rows for x in r]])
-        [vflat], vden = int_rows([[c for v in P.vertices for c in v]])
-        coords = [
-            tuple([
-                Fraction(sum(map(operator.mul, rflat[k : k + n], diff)), rden * vden)
-                for k in range(0, len(rflat), n)
-            ])
-            for diff in ([a - b for a, b in zip(vflat[i : i + n], vflat)] for i in range(0, len(vflat), n))
-        ]
-        frame = (base, rows, basis, _facets(coords))
+        gram = [[sum(map(operator.mul, u, v)) for v in basis] for u in basis]
+        # G is positive definite, so Bareiss never swaps a row and its last
+        # pivot is det G
+        R, delta = cramer([g + b for g, b in zip(gram, basis)], d)
+        ys = [[0] * d] + [[sum(map(operator.mul, r, w)) for r in R] for w in diffs]
+        frame = (basis, R, delta, _facets(ys))
     hrep = (d, frame)
     object.__setattr__(P, "_hrep", hrep)
     return hrep
 
 
 def _membership_facets(P: LatticePolytope, x: Point):
-    """Exact membership via the facet cache; returns (inside, separator)."""
-    base, rows, basis, facets = _get_hrep(P)[1]
-    d = len(basis)
-    diff = [a - b for a, b in zip(x, base)]
-    y = [sum(r[j] * diff[j] for j in range(len(diff))) for r in rows]
-    # first check x lies in the affine hull at all
-    proj = [base[j] + sum(y[i] * basis[i][j] for i in range(d)) for j in range(len(x))]
-    perp = [a - b for a, b in zip(x, proj)]
-    if any(v != 0 for v in perp):
-        c0 = sum(g * p for g, p in zip(perp, P.vertices[0]))
-        return False, SeparatingFunctional(tuple(perp), c0, x)
-    for normal, cval in facets:
-        val = sum(a * b for a, b in zip(normal, y))
-        if val > cval:
-            g = tuple([sum(normal[i] * rows[i][j] for i in range(d)) for j in range(len(x))])
-            shift = sum(gj * bj for gj, bj in zip(g, base))
-            return False, SeparatingFunctional(g, cval + shift, x)
+    """Exact membership via the facet cache; returns (inside, separator).
+    Only a separator is built in ``Fraction``: the orthogonal residual of x
+    off the affine hull, or a violated facet's Gram-frame functional."""
+    den, ints, _ = P._itab
+    w0 = ints[0]
+    basis, R, delta, facets = _get_hrep(P)[1]
+    [xq], q = int_rows([x])
+    r = [den * a - q * b for a, b in zip(xq, w0)]
+    z = [sum(map(operator.mul, row, r)) for row in R]
+    # x minus its projection to the affine hull is e / (q delta den)
+    e = [delta * a for a in r]
+    for zi, b in zip(z, basis):
+        e = [a - zi * c for a, c in zip(e, b)]
+    if any(e):
+        s = q * delta * den
+        coeffs = tuple([Fraction(a, s) for a in e])
+        return False, SeparatingFunctional(coeffs, Fraction(sum(map(operator.mul, e, w0)), s * den), x)
+    for normal, top in facets:
+        if sum(map(operator.mul, normal, z)) > q * top:
+            g = [sum(map(operator.mul, normal, col)) for col in zip(*R)]
+            coeffs = tuple([Fraction(den * a, delta) for a in g])
+            return False, SeparatingFunctional(coeffs, Fraction(top + sum(map(operator.mul, g, w0)), delta), x)
     return True, None
 
 
-def _vertex_table(P: LatticePolytope):
-    """(den, cols, sums), cached on the polytope: the vertices as integer
-    vectors ``den * v`` over their least common denominator, stored by
-    coordinate (``cols[j][k]`` is coordinate j of vertex k), and the sum of
-    each coordinate, which is ``len(P.vertices) * den`` times the centroid."""
-    if P._itab is None:
-        # each distinct coordinate is scaled once, so equal entries share one int
-        values = list({c for v in P.vertices for c in v})
-        [ints], den = int_rows([values])
-        scaled = dict(zip(values, ints))
-        cols = tuple(
-            tuple(scaled[v[j]] for v in P.vertices) for j in range(P.ambient)
-        )
-        object.__setattr__(P, "_itab", (den, cols, tuple(map(sum, cols))))
-    return P._itab
-
-
-def _vertex_values(cols: tuple[tuple[int, ...], ...], u: Sequence[int]) -> list[int]:
-    """``u . v`` for every vertex ``v`` of an integer vertex table."""
-    vals = [0] * len(cols[0])
-    for a, col in zip(u, cols):
-        if a:
-            vals = list(map(operator.add, vals, map(a.__mul__, col)))
-    return vals
+def _vertex_values(ints: list[list[int]], u: Sequence[int]) -> list[int]:
+    """``u . w`` for every row ``w`` of an integer vertex table."""
+    return [sum(map(operator.mul, u, w)) for w in ints]
 
 
 def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
@@ -629,7 +603,7 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
     # points without the LP.  The construction is its own proof: the
     # threshold is the exact max of the functional over the vertices.  It
     # runs in integers, with u scaled by nv * den * q.
-    den, cols, sums = _vertex_table(P)
+    den, ints, sums = P._itab
     [xq], q = int_rows([xx])
     nv = len(P.vertices)
     scale = nv * den * q
@@ -637,7 +611,7 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
     if not any(u):
         # x is the centroid
         return ContainmentResult(True, None)
-    smax = max(_vertex_values(cols, u))
+    smax = max(_vertex_values(ints, u))
     if den * sum(map(operator.mul, u, xq)) > q * smax:
         coeffs = tuple([Fraction(a, scale) for a in u])
         sep = SeparatingFunctional(coeffs, Fraction(smax, scale * den), xx)
@@ -653,14 +627,16 @@ def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
 
 
 def _check_separator(P: LatticePolytope, sep: SeparatingFunctional) -> None:
-    # coeffs . v <= threshold on every vertex, in integers: with coeffs =
-    # cq / q and v = w / den this is  cq . w * t.den <= q * den * t.num
-    den, cols, _ = _vertex_table(P)
+    # coeffs . v <= threshold on every vertex, and coeffs . witness above it,
+    # in integers: with coeffs = cq / q, v = w / den, witness = wq / qw this
+    # is  cq . w * t.den <= q * den * t.num  and  cq . wq * t.den > q * qw * t.num
+    den, ints, _ = P._itab
     [cq], q = int_rows([sep.coeffs])
+    [wq], qw = int_rows([sep.witness])
     t = sep.threshold
     if (
-        max(_vertex_values(cols, cq)) * t.denominator > q * den * t.numerator
-        or sum(a * b for a, b in zip(sep.coeffs, sep.witness)) <= sep.threshold
+        max(_vertex_values(ints, cq)) * t.denominator > q * den * t.numerator
+        or sum(map(operator.mul, cq, wq)) * t.denominator <= q * qw * t.numerator
     ):
         raise WitnessError("separating functional fails its check")
 

@@ -25,6 +25,7 @@ from .lattice import (
     Cocharacter,
     HeightZeroError,
     SeparatingFunctional,
+    Weight,
     WitnessError,
     contains,
     member,
@@ -32,6 +33,7 @@ from .lattice import (
     pairing,
 )
 from .rep import (
+    ElementaryProduct,
     Matrix,
     Sym,
     Trivial,
@@ -111,9 +113,11 @@ def nss_fixed_torus(p: Pair) -> FixedTorusResult:
     positive futaki_gen, built from the LP separating functional and
     verified exactly before being returned.
     """
-    inner = weight_polytope(p.v)
     outer = weight_polytope(p.w)
-    sep = contains(outer, inner).separator
+    # the least inner point is a vertex of N(v); most refutations come
+    # there, before N(v) is built
+    first = min(Weight(w).traceless() for w in p.v.support())
+    sep = member(outer, first).separator or contains(outer, weight_polytope(p.v)).separator
     if sep is None:
         return FixedTorusResult(True)
     u = _witness_from_separator(sep, p.N + 1)
@@ -173,7 +177,7 @@ def _fraction_matrix(sigma: Sequence[Sequence]) -> Matrix:
     return tuple([tuple([Fraction(x) for x in row]) for row in sigma])
 
 
-def _int_conjugator(rng: random.Random, n: int) -> list[list[int]]:
+def _int_conjugator(rng: random.Random, n: int) -> ElementaryProduct:
     """Product of 3 to 6 elementary matrices with entries in [-3, 3]."""
     mat = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(rng.randint(3, 6)):
@@ -182,7 +186,7 @@ def _int_conjugator(rng: random.Random, n: int) -> list[list[int]]:
         # right-multiply by I + c E_ij
         for r in range(n):
             mat[r][j] += c * mat[r][i]
-    return mat
+    return ElementaryProduct(mat)
 
 
 def random_conjugator(rng: random.Random, n: int) -> Matrix:

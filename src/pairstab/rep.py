@@ -28,6 +28,11 @@ from .lattice import LatticePolytope, Weight, hull
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
+class ElementaryProduct(tuple):
+    """Rows of an integer product of elementary matrices: determinant one by
+    construction, so the actions skip their determinant check on it."""
+
+
 # ---------------------------------------------------------------------------
 # shapes
 
@@ -301,10 +306,10 @@ def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
     n = vectors[0].module.n_vars
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
-    entries = [x if type(x) is int else Fraction(x) for row in sigma for x in row]
+    entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for row in sigma for x in row]
     [flat], m = _linalg.int_rows([entries])
     mat = [flat[i * n : (i + 1) * n] for i in range(n)]
-    if _linalg.echelon(mat[:])[1] != m**n:
+    if not isinstance(sigma, ElementaryProduct) and _linalg.echelon(mat[:])[1] != m**n:
         raise ValueError("matrix determinant must be exactly 1")
     # the linear forms L_i = sum_j mat[j][i] x_j of the columns, seeding the
     # powers L_i^e that every Sym key of every vector shares

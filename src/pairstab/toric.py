@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import _linalg
-from .lattice import WitnessError, _facets, contains, hull, solve_phase1
+from .lattice import WitnessError, _facets, contains, hull, member, solve_phase1
 
 IntPoint = tuple[int, ...]
 
@@ -89,7 +89,9 @@ def extension_criterion(data: ToricData) -> ExtensionResult:
         return ExtensionResult(True)
     zero = (0,) * data.dim
     outer = hull((zero,) + data.B)
-    sep = contains(outer, hull(rest)).separator
+    # rest is sorted, so rest[0] is a vertex of hull(rest); most questions
+    # are refuted there, before that hull is built
+    sep = member(outer, rest[0]).separator or contains(outer, hull(rest)).separator
     if sep is None:
         return ExtensionResult(True)
     u = tuple(_linalg.primitive([-c for c in sep.coeffs]))
@@ -171,8 +173,7 @@ def _facet_sets(pts: tuple[IntPoint, ...]) -> set[frozenset]:
     full-dimensional space, so the image has the faces of conv A."""
     cols = _linalg.echelon([[a - b for a, b in zip(p, pts[0])] for p in pts])[0]
     ys = [[p[j] for j in cols] for p in pts]
-    planes = [([int(a) for a in n], int(c)) for n, c in _facets(ys)]
-    return {frozenset([i for i, y in enumerate(ys) if _dot(n, y) == c]) for n, c in planes}
+    return {frozenset([i for i, y in enumerate(ys) if _dot(n, y) == c]) for n, c in _facets(ys)}
 
 
 def _face_functional(

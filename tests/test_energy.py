@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -15,8 +17,15 @@ from pairstab.energy import (
     fs_distance,
     sample_energy_infimum,
 )
-from pairstab.lattice import Cocharacter
-from pairstab.pairs import Pair, futaki_gen, random_conjugator
+from pairstab.lattice import Cocharacter, pairing
+from pairstab.pairs import (
+    Pair,
+    Unstable,
+    conjugate_pair,
+    futaki_gen,
+    nss_check,
+    random_conjugator,
+)
 from pairstab.rep import Module, Sym, Tensor, Trivial, Wedge, matrix_action, vector
 
 
@@ -230,3 +239,54 @@ def test_sampler_deterministic_and_bounded():
     assert a.best_element == b.best_element
     assert a.tried == 31
     assert a.best_value <= energy(p, _ident(2))
+
+
+def _log_norm_sq_per_point(exps, t):
+    """The profile term as it stood with one float conversion per grid
+    point, kept verbatim as the oracle of the per-profile conversion."""
+    emin = min(exps)
+    acc = 0.0
+    for e, s in exps.items():
+        acc += float(s) * t ** (2 * (e - emin))
+    return 2.0 * emin * math.log(t) + math.log(acc)
+
+
+def _exact_weights(v, u, H):
+    out = {}
+    for key, c in v.coeffs:
+        e = pairing(v.module.weight_of(key), u)
+        out[e] = out.get(e, Fraction(0)) + c * c * H.basis_norm_sq(key)
+    return out
+
+
+def test_profiles_match_per_point_conversion_on_the_benchmark_pairs():
+    # the seed-1 pair-verdicts pool of the benchmark: every witnessed
+    # refutation's profile along its witness, on the benchmark's grid
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pool = workloads.PairVerdicts(1)
+    profiles = 0
+    for block in pool.blocks:
+        for inst in block:
+            verdict = nss_check(inst[1])
+            if not isinstance(verdict, Unstable) or verdict.witness is None:
+                continue
+            p = conjugate_pair(inst[1], verdict.conjugator)
+            u = verdict.witness
+            hv, hw = HermitianStructure(p.v.module), HermitianStructure(p.w.module)
+            ev, ew = _exact_weights(p.v, u, hv), _exact_weights(p.w, u, hw)
+            # the benchmark's deep grid, and the default one, where the
+            # higher exponents still reach the sums
+            for grid in (workloads.ENERGY_GRID, default_grid()):
+                profile = energy_along_1ps(p, u, grid)
+                want = tuple(
+                    (t, _log_norm_sq_per_point(ew, t) - _log_norm_sq_per_point(ev, t))
+                    for t in grid
+                )
+                assert [(a.hex(), b.hex()) for a, b in profile.samples] == [
+                    (a.hex(), b.hex()) for a, b in want
+                ]
+            profiles += 1
+    assert profiles >= 500, profiles

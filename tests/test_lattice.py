@@ -1,5 +1,9 @@
+import collections
+import functools
+import hashlib
 import itertools
 import math
+import operator
 import random
 import subprocess
 import sys
@@ -12,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairstab import lattice
-from pairstab._linalg import primitive
+from pairstab._linalg import echelon, int_rows, primitive, solve
 from pairstab.lattice import (
     Cocharacter,
     HeightZeroError,
     Point,
+    SeparatingFunctional,
     Weight,
-    _affine_frame,
-    _coordinate_rows,
     _extreme_points,
     _facets,
     _in_hull_lp,
@@ -526,6 +529,133 @@ def test_facets_match_the_per_dimension_enumeration():
 
 
 # ---------------------------------------------------------------------------
+# pinned verdicts and separators: any change to the membership kernels must
+# leave every answer, witness included, exactly as it was
+
+
+def _pinned_queries(rng, P, pts):
+    """Vertices, convex combinations, points of the affine hull pushed
+    outside it, and points off it, in Q^ambient."""
+    verts = P.vertices
+    out = [rng.choice(verts), rng.choice(pts)]
+    for _ in range(2):
+        ws = [Fraction(rng.randint(0, 3)) for _ in verts]
+        total = sum(ws) or Fraction(1)
+        out.append(tuple(sum(w * v[j] for w, v in zip(ws, verts)) / total for j in range(P.ambient)))
+    for _ in range(2):
+        p, q = rng.choice(verts), rng.choice(pts)
+        t = _random_rational(rng, 3)
+        out.append(tuple(a + t * (b - a) for a, b in zip(p, q)))
+    out.append(tuple(_random_rational(rng, 3) for _ in range(P.ambient)))
+    return out
+
+
+def test_member_contains_and_extension_results_are_pinned():
+    from pairstab.toric import ToricData, extension_criterion
+
+    rng = random.Random(2016)
+    h = hashlib.sha256()
+    dims = [0] * 4
+    for k in range(480):
+        ambient = k % 5 + 1
+        dim = min(k % 4, ambient)
+        pts = _flat_points(rng, ambient, dim)
+        P = hull(pts)
+        dims[P.effective_dim()] += 1
+        for x in _pinned_queries(rng, P, pts):
+            h.update(repr(member(P, x)).encode())
+        Q = hull(rng.sample(pts, rng.randint(1, len(pts))) + _pinned_queries(rng, P, pts)[2:4])
+        h.update(repr((contains(P, Q), contains(Q, P))).encode())
+    for k in range(600):
+        dim = k % 3 + 1
+        size = (4, 2, 1)[dim - 1]
+        pool = list(itertools.product(range(-size, size + 1), repeat=dim))
+        A = rng.sample(pool, rng.randint(2, min(8, len(pool))))
+        B = rng.sample(A, rng.randint(1, len(A) - 1))
+        h.update(repr(extension_criterion(ToricData(A, B, dim))).encode())
+    assert min(dims) >= 60, dims
+    assert h.hexdigest() == "72c58c0570326e61891fedc6e30bd16a225b136bd26a69b06a0052baeeeac33a"
+
+
+# ---------------------------------------------------------------------------
+# the Fraction frame that the facet route ran before its integer table,
+# kept verbatim (its cache aside) as the oracle of ``_membership_facets``
+
+
+def _affine_frame(P):
+    """Base point and a basis of the affine hull's direction space: the
+    first differences ``v - base``, in vertex order, independent of the
+    earlier ones (the pivot columns of the differences as columns)."""
+    base = P.vertices[0]
+    diffs = [tuple([a - b for a, b in zip(v, base)]) for v in P.vertices[1:]]
+    rows, _ = int_rows(zip(*diffs))
+    return base, [diffs[j] for j in echelon(rows)[0]]
+
+
+def _coordinate_rows(basis: list[Point]) -> list[Point]:
+    """The d x ambient matrix with coord(x) = rows . (x - base): Gram-based
+    affine coordinates, G^{-1} B (x - base), exact."""
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    return [tuple(r) for r in solve(gram, basis)]
+
+
+@functools.lru_cache(maxsize=1)
+def _fraction_frame(P):
+    """(base, rows, basis, facets) for effective dimension at most three."""
+    base, basis = _affine_frame(P)
+    rows = _coordinate_rows(basis)
+    # rows . (v - base) for every vertex, in integers over rden * vden
+    n = P.ambient
+    [rflat], rden = int_rows([[x for r in rows for x in r]])
+    [vflat], vden = int_rows([[c for v in P.vertices for c in v]])
+    coords = [
+        tuple([
+            Fraction(sum(map(operator.mul, rflat[k : k + n], diff)), rden * vden)
+            for k in range(0, len(rflat), n)
+        ])
+        for diff in ([a - b for a, b in zip(vflat[i : i + n], vflat)] for i in range(0, len(vflat), n))
+    ]
+    return base, rows, basis, _facets(coords)
+
+
+def _membership_facets(P, x: Point):
+    """Exact membership via the facet cache; returns (inside, separator)."""
+    base, rows, basis, facets = _fraction_frame(P)
+    d = len(basis)
+    diff = [a - b for a, b in zip(x, base)]
+    y = [sum(r[j] * diff[j] for j in range(len(diff))) for r in rows]
+    # first check x lies in the affine hull at all
+    proj = [base[j] + sum(y[i] * basis[i][j] for i in range(d)) for j in range(len(x))]
+    perp = [a - b for a, b in zip(x, proj)]
+    if any(v != 0 for v in perp):
+        c0 = sum(g * p for g, p in zip(perp, P.vertices[0]))
+        return False, SeparatingFunctional(tuple(perp), c0, x)
+    for normal, cval in facets:
+        val = sum(a * b for a, b in zip(normal, y))
+        if val > cval:
+            g = tuple([sum(normal[i] * rows[i][j] for i in range(d)) for j in range(len(x))])
+            shift = sum(gj * bj for gj, bj in zip(g, base))
+            return False, SeparatingFunctional(g, cval + shift, x)
+    return True, None
+
+
+def test_integer_frame_matches_the_fraction_frame():
+    rng = random.Random(1968)
+    seen = collections.Counter()
+    for k in range(1000):
+        ambient = k % 5 + 1
+        pts = _flat_points(rng, ambient, min(k % 4, ambient))
+        P = hull(pts)
+        for x in [x for _ in range(3) for x in _pinned_queries(rng, P, pts)]:
+            x = tuple(Fraction(c) for c in x)
+            want = _membership_facets(P, x)
+            assert lattice._membership_facets(P, x) == want
+            seen[P.effective_dim(), want[0]] += 1
+    assert sum(seen.values()) >= 20000
+    assert min(seen.values()) >= 500, seen
+
+
+# ---------------------------------------------------------------------------
 # the LP loop that ``lattice._extreme_points`` runs only above dimension two,
 # kept verbatim as the oracle of its integer route
 
@@ -569,7 +699,7 @@ def test_low_dimensional_hull_matches_the_lp_route():
         raw = _low_dim_points(rng, rng.randint(max(k, 1), 5), k)
         pts = sorted({tuple(Fraction(c) for c in p) for p in raw})
         expected = _extreme_points_lp(pts)
-        assert _extreme_points(pts) == expected
+        assert _extreme_points(pts)[0] == expected
         assert hull(raw).vertices == tuple(expected)
         dims[len(_affine_frame(SimpleNamespace(vertices=pts))[1])] += 1
         pruned += len(expected) < len(pts)

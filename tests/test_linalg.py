@@ -13,16 +13,11 @@ from types import SimpleNamespace
 
 from pairstab import _linalg
 from pairstab.binaryforms import _divisors, form, rational_roots
-from pairstab.lattice import (
-    SeparatingFunctional,
-    _affine_frame,
-    _coordinate_rows,
-    _project_origin,
-    hull,
-)
+from pairstab.lattice import SeparatingFunctional, _get_hrep, _project_origin, hull
 from pairstab.pairs import _witness_from_separator, random_conjugator
 from pairstab.rep import Module, Sym, Tensor, Wedge, WeightedVector, _contract_key
 from pairstab.rep import sl3_contraction_kernel
+from test_lattice import _coordinate_rows
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +294,12 @@ def test_solve_matches_gram_inverse_and_kkt_elimination():
             assert _linalg.solve(gram, basis) is None
             continue
         assert _coordinate_rows(basis) == want
+        # the integer Gram frame: adj(G) B over det G
+        ints, _ = _linalg.int_rows(basis)
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in ints] for u in ints]
+        adj_b, delta = _linalg.cramer([g + b for g, b in zip(gram, ints)], len(ints))
+        assert delta == _det_fraction(gram) > 0
+        assert [tuple([Fraction(v, delta) for v in r]) for r in adj_b] == _coordinate_rows(ints)
     for _ in range(600):
         ambient = rng.randint(1, 5)
         subset = [tuple(_q(rng, 3) for _ in range(ambient)) for _ in range(rng.randint(1, 5))]
@@ -356,10 +357,21 @@ def test_affine_frame_matches_greedy_elimination():
         pts = _affine_points(rng, ambient, dim, rng.randint(1, 8))
         # every tenth point set goes in as given, to reach low-rank vertex
         # lists that a hull would prune
-        P = SimpleNamespace(vertices=sorted(set(pts))) if k % 10 == 0 else hull(pts)
-        base, basis = _affine_frame(P)
-        assert (base, basis) == _affine_frame_fraction(P)
-        dims[len(basis)] += 1
+        if k % 10 == 0:
+            verts = sorted(set(pts))
+            [flat], den = _linalg.int_rows([[c for v in verts for c in v]])
+            ints = [flat[i : i + ambient] for i in range(0, len(flat), ambient)]
+            P = SimpleNamespace(vertices=verts, _hrep=None, _itab=(den, ints, None))
+        else:
+            P = hull(pts)
+        _, basis = _affine_frame_fraction(P)
+        # the integer frame's basis is the same differences times den
+        d, frame = _get_hrep(P)
+        assert d == len(basis)
+        if frame is not None:
+            den = P._itab[0]
+            assert frame[0] == [[den * c for c in b] for b in basis]
+        dims[d] += 1
     assert min(dims) >= 50
 
 

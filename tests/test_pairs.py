@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstab import binaryforms, pairs
+from pairstab import _linalg, binaryforms, pairs
 from pairstab.lattice import Cocharacter, HeightZeroError, WitnessError, contains
 from pairstab.pairs import (
     NotRefuted,
@@ -31,6 +31,7 @@ from pairstab.pairs import (
     weight_1ps,
 )
 from pairstab.rep import (
+    ElementaryProduct,
     Module,
     Sym,
     Tensor,
@@ -297,6 +298,8 @@ def test_int_conjugator_draws_what_random_conjugator_draws():
         n = 2 + k % 3
         sigma = pairs._int_conjugator(ints, n)
         assert {type(x) for row in sigma for x in row} == {int}
+        # the actions skip their determinant check on these draws
+        assert isinstance(sigma, ElementaryProduct) and _linalg.det(sigma) == 1
         wrapped = tuple(tuple(Fraction(x) for x in row) for row in sigma)
         assert repr(wrapped) == repr(random_conjugator(fractions, n))
         assert repr(wrapped) == repr(_random_conjugator_fraction(old, n))
