@@ -3,7 +3,7 @@
 Rational rows are brought to integers once (``int_rows``); elimination then
 runs in plain ``int`` by Bareiss's fraction-free rule (Bareiss 1968), where
 every division is exact.  ``Fraction`` is built only for the values
-returned.
+returned, and from the values given at the API edge (``fractions``).
 
 This is the package's one elimination and denominator-clearing kernel:
 
@@ -34,6 +34,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+
+def fractions(values: Iterable) -> tuple[Fraction, ...]:
+    """The values as a tuple of ``Fraction``, keeping those already given.
+    It is built from a list: CPython 3.11 builds tuple(<generator>) by
+    shrinking a larger tuple, and the freed tuples pile up on the free lists
+    until a full collection."""
+    return tuple([c if type(c) is Fraction else Fraction(c) for c in values])
 
 
 def int_rows(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:

@@ -1,12 +1,15 @@
 """Multivariate integer polynomials as exponent-tuple dicts.
 
-Only what the symbolic discriminant expansion and its tests need: addition,
-subtraction, multiplication, negation and exact division by one variable.
+Only what the symbolic discriminant expansion, the Sym action of ``rep``
+and their tests need: addition, subtraction, multiplication, negation and
+exact division by one variable.
 Coefficients are Python ints; exponents are tuples of nonnegative ints of a
 fixed arity.
 """
 
 from __future__ import annotations
+
+import operator
 
 Poly = dict  # exponent tuple -> nonzero int
 
@@ -38,15 +41,12 @@ def sub(p: Poly, q: Poly) -> Poly:
 
 def mul(p: Poly, q: Poly) -> Poly:
     out: Poly = {}
+    get = out.get
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
+            e = tuple([*map(operator.add, e1, e2)])
+            out[e] = get(e, 0) + c1 * c2
+    return out if 0 not in out.values() else {e: c for e, c in out.items() if c}
 
 
 def neg(p: Poly) -> Poly:

@@ -59,7 +59,7 @@ class BinaryForm:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        cs = tuple([Fraction(c) for c in self.coeffs])
+        cs = _linalg.fractions(self.coeffs)
         if len(cs) > self.degree + 1:
             raise ValueError("more coefficients than the degree allows")
         cs = cs + (Fraction(0),) * (self.degree + 1 - len(cs))

@@ -315,9 +315,7 @@ def _cmd_toric_extend(args) -> tuple[int, dict]:
     u = toric.extension_criterion(data).star_violator
     if u is None:
         return (0, {"extends": True})
-    rest = data.complement()
-    lhs = min(0, min(sum(a * b for a, b in zip(u, b)) for b in data.B))
-    rhs = min(sum(a * b for a, b in zip(u, p)) for p in rest)
+    lhs, rhs = toric.star_sides(data, u)
     return (
         2,
         {

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import echelon, int_rows
+from ._linalg import echelon, fractions, int_rows
 from .binaryforms import BinaryForm
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -74,11 +74,7 @@ class FiniteComplex:
 
 
 def _as_matrix(m: Sequence[Sequence], nrows: int, ncols: int) -> Matrix:
-    # a given Fraction is kept, not copied.  Tuples are built from lists:
-    # CPython 3.11 makes tuple(<generator>) by resizing a 10-slot tuple, so
-    # each one freed lands on another size's free list, which then fills
-    # until a full collection
-    out = tuple([tuple([x if type(x) is Fraction else Fraction(x) for x in row]) for row in m])
+    out = tuple([fractions(row) for row in m])
     if len(out) != nrows or any(len(row) != ncols for row in out):
         raise ValueError("map shape does not match adjacent dimensions")
     return out

@@ -11,10 +11,10 @@ for what they return:
   denominator, as ints, cleared once when the hull is built;
 - the centroid support probe in ``member`` and the check of every separator,
   on that table;
-- the extreme points of a hull of effective dimension at most two: the
-  points at the pivot columns of their differences give the ends of a
-  segment or Andrew's monotone chain (1979) in a plane; above that, one
-  phase-1 LP per point;
+- the extreme points of a hull, on its integer points: the points at the
+  pivot columns of their differences give the ends of a segment or
+  Andrew's monotone chain (1979) in a plane, and above that each point
+  gets one phase-1 LP against the others;
 - the whole facet route (effective dimension at most three), on that table:
   the affine frame (a Bareiss echelon of the differences), the Gram rows
   adj(G) B over det G (``_linalg.cramer``), the facet normals, the primitive
@@ -44,17 +44,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._linalg import cramer, echelon, int_rows, primitive, solve
+from ._linalg import cramer, echelon, fractions, int_rows, primitive, solve
 
 Point = tuple[Fraction, ...]
-
-
-def _to_point(coords: Sequence) -> Point:
-    # a Fraction is immutable, so one already given is kept, not copied.
-    # Hot tuples here are built from lists: CPython 3.11 builds
-    # tuple(<generator>) by shrinking a larger tuple, and the freed tuples
-    # pile up on the free lists until a full collection
-    return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
 
 
 class HeightZeroError(ValueError):
@@ -305,7 +297,7 @@ class LatticePolytope:
     _itab: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        pts = [_to_point(p) for p in self.vertices]
+        pts = [fractions(p) for p in self.vertices]
         if not pts:
             raise ValueError("empty point set has no hull")
         dim = len(pts[0])
@@ -324,7 +316,7 @@ class LatticePolytope:
         return _get_hrep(self)[0]
 
     def support_values(self, u: Sequence) -> list[Fraction]:
-        uu = _to_point(u)
+        uu = fractions(u)
         if len(uu) != self.ambient:
             raise ValueError("functional has wrong length")
         return [sum(a * b for a, b in zip(v, uu)) for v in self.vertices]
@@ -361,7 +353,10 @@ def _extreme_points(pts: list[Point]) -> tuple[list[Point], int, list[list[int]]
         if len(cols) <= 2:
             keep = sorted(_monotone_chain([[r[j] for j in cols] + [0] * (2 - len(cols)) for r in diffs]))
         else:
-            keep = [i for i, p in enumerate(pts) if not _in_hull_lp(pts[:i] + pts[i + 1 :], p).feasible]
+            # w_i is in the hull of the other rows exactly when p_i is; a
+            # dependency shared by every row only makes an LP row redundant
+            lifted = [w + [1] for w in ints]
+            keep = [i for i, w in enumerate(lifted) if not solve_phase1(lifted[:i] + lifted[i + 1 :], w).feasible]
     return [pts[i] for i in keep], den, [ints[i] for i in keep]
 
 
@@ -385,57 +380,43 @@ def _monotone_chain(ys: list[list[int]]) -> set[int]:
     return keep
 
 
-def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
-    verts = [tuple(v) for v in vertices]
-    xx = tuple(x)
+def _in_hull_lp(verts: Sequence[Point], xx: Point) -> Phase1Result:
+    """Phase-1 LP for the tuple xx in the hull of the tuples verts; a
+    certificate has every coordinate, then the affine slot."""
     dim = len(xx)
     kept = list(range(dim))
 
-    def lift(yred: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        y = [Fraction(0)] * (dim + 1)
-        for slot, j in enumerate(kept):
-            y[j] = yred[slot]
-        y[dim] = yred[len(kept)]
-        return tuple(y)
-
-    def pinned_sep(j: int, c: Fraction, xval: Fraction) -> Phase1Result:
-        sign = Fraction(1 if xval > c else -1)
-        y = [Fraction(0)] * (dim + 1)
-        y[j] = sign
-        y[dim] = -sign * c
+    def refuted(slots: Sequence[int], values: Sequence[Fraction], last: Fraction) -> Phase1Result:
+        y = [Fraction(0)] * dim + [last]
+        for j, v in zip(slots, values):
+            y[j] = v
         return Phase1Result(False, None, tuple(y))
 
     # strip affine dependencies shared by the whole vertex set: coordinates
-    # pinned to one value, and the common coordinate sum when there is one.
+    # pinned to one value, then the common coordinate sum when there is one.
     # Either x violates the dependency (exact separator, no LP needed) or
-    # the matching equality row is redundant and can be dropped.
-    changed = True
-    while changed and kept:
-        changed = False
-        for slot in range(len(kept) - 1, -1, -1):
-            c = verts[0][slot]
-            if all(v[slot] == c for v in verts):
-                if xx[slot] != c:
-                    return pinned_sep(kept[slot], c, xx[slot])
-                verts = [v[:slot] + v[slot + 1 :] for v in verts]
-                xx = xx[:slot] + xx[slot + 1 :]
-                del kept[slot]
-                changed = True
-        if len(kept) >= 2:
-            s0 = sum(verts[0])
-            if all(sum(v) == s0 for v in verts):
-                sx = sum(xx)
-                if sx != s0:
-                    sign = Fraction(1 if sx > s0 else -1)
-                    y = [Fraction(0)] * (dim + 1)
-                    for j in kept:
-                        y[j] = sign
-                    y[dim] = -sign * s0
-                    return Phase1Result(False, None, tuple(y))
-                verts = [v[:-1] for v in verts]
-                xx = xx[:-1]
-                kept.pop()
-                changed = True
+    # the matching equality row is redundant and can be dropped.  One pass
+    # finds them all: dropping a coordinate pins no other one, and the sum
+    # of the rest is constant only if the dropped coordinate was pinned.
+    for slot in range(dim - 1, -1, -1):
+        c = verts[0][slot]
+        if all(v[slot] == c for v in verts):
+            if xx[slot] != c:
+                sign = Fraction(1 if xx[slot] > c else -1)
+                return refuted([slot], [sign], -sign * c)
+            verts = [v[:slot] + v[slot + 1 :] for v in verts]
+            xx = xx[:slot] + xx[slot + 1 :]
+            del kept[slot]
+    if len(kept) >= 2:
+        s0 = sum(verts[0])
+        if all(sum(v) == s0 for v in verts):
+            sx = sum(xx)
+            if sx != s0:
+                sign = Fraction(1 if sx > s0 else -1)
+                return refuted(kept, [sign] * len(kept), -sign * s0)
+            verts = [v[:-1] for v in verts]
+            xx = xx[:-1]
+            kept.pop()
 
     # convex combination: stack coordinates over the affine row (sum = 1)
     cols = [v + (Fraction(1),) for v in verts]
@@ -444,7 +425,7 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
         res = solve_phase1(cols, rhs)
         if res.y is None:
             return res
-        return Phase1Result(False, None, lift(res.y))
+        return refuted(kept, res.y, res.y[-1])
     # column generation: solve on a small working set, price the rest with
     # the dual certificate, and stop once no column can improve it
     nn = len(cols)
@@ -474,7 +455,7 @@ def _in_hull_lp(vertices: Sequence[Point], x: Point) -> Phase1Result:
             if s > 0:
                 scored.append((s, j))
         if not scored:
-            return Phase1Result(False, None, lift(y))
+            return refuted(kept, y, y[-1])
         scored.sort(reverse=True)
         active.extend(j for _, j in scored[:6])
         active.sort()
@@ -589,7 +570,7 @@ def _vertex_values(ints: list[list[int]], u: Sequence[int]) -> list[int]:
 
 def member(P: LatticePolytope, x: Sequence) -> ContainmentResult:
     """Exact membership of one point, with a separator on failure."""
-    xx = _to_point(x)
+    xx = fractions(x)
     if len(xx) != P.ambient:
         raise ValueError("point has wrong ambient dimension")
     if _get_hrep(P)[1] is not None:

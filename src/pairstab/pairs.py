@@ -174,7 +174,7 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def _fraction_matrix(sigma: Sequence[Sequence]) -> Matrix:
-    return tuple([tuple([Fraction(x) for x in row]) for row in sigma])
+    return tuple([_linalg.fractions(row) for row in sigma])
 
 
 def _int_conjugator(rng: random.Random, n: int) -> ElementaryProduct:

@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from . import _linalg
+from . import _linalg, _poly
 from .lattice import LatticePolytope, Weight, hull
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -340,7 +339,7 @@ def _key_action(shape: Shape, mat: list[list[int]], powers: dict, key) -> dict:
         for i, e in enumerate(key):
             if e:
                 power = _column_power(powers, i, e)
-                poly = power if poly is None else _poly_mul(poly, power)
+                poly = power if poly is None else _poly.mul(poly, power)
         return {(0,) * n: 1} if poly is None else poly
     if isinstance(shape, Trivial):
         return {(): 1}
@@ -364,19 +363,8 @@ def _column_power(powers: dict, i: int, e: int) -> dict:
     """L_i^e as {exponent tuple: int}, from L_i^(e-1), kept in ``powers``."""
     got = powers.get((i, e))
     if got is None:
-        got = powers[i, e] = _poly_mul(_column_power(powers, i, e - 1), powers[i, 1])
+        got = powers[i, e] = _poly.mul(_column_power(powers, i, e - 1), powers[i, 1])
     return got
-
-
-def _poly_mul(p: dict, q: dict) -> dict:
-    """Product of two polynomials given as {exponent tuple: coefficient}."""
-    out: dict = {}
-    get = out.get
-    for e1, a in p.items():
-        for e2, b in q.items():
-            e = tuple([*map(operator.add, e1, e2)])
-            out[e] = get(e, 0) + a * b
-    return out
 
 
 # ---------------------------------------------------------------------------

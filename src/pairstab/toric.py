@@ -45,10 +45,9 @@ class ToricData:
         return tuple(p for p in self.A if p not in set(self.B))
 
 
-def star_condition(data: ToricData, u: Sequence[int]) -> bool:
-    """min{0, min over B} <= min over A minus B, for the pairing with u.
-
-    Vacuously true when A equals B.
+def star_sides(data: ToricData, u: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(min{0, min over B}, min over A minus B) for the pairing with u, or
+    None when A equals B.
 
     Raises:
         ValueError: u has the wrong length.
@@ -58,9 +57,14 @@ def star_condition(data: ToricData, u: Sequence[int]) -> bool:
         raise ValueError("functional has the wrong length")
     rest = data.complement()
     if not rest:
-        return True
-    lhs = min(0, min(_dot(uu, b) for b in data.B))
-    return lhs <= min(_dot(uu, a) for a in rest)
+        return None
+    return min(0, min(_dot(uu, b) for b in data.B)), min(_dot(uu, a) for a in rest)
+
+
+def star_condition(data: ToricData, u: Sequence[int]) -> bool:
+    """lhs <= rhs for the two ``star_sides``; vacuously true when A equals B."""
+    sides = star_sides(data, u)
+    return sides is None or sides[0] <= sides[1]
 
 
 def _dot(u: Sequence[int], p: Sequence[int]) -> int:

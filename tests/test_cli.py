@@ -311,6 +311,9 @@ def _error(message, op):
         ("entries", [[5, 1]], "key must be a list"),
         ("N", [1], "expected an integer, got [1]"),
         ("shape", 5, "unrecognized shape '5'"),
+        ("entries", [[[1, 1], 1], [[1, 1], 2]], "duplicate key [1, 1]"),
+        ("shape", "Tensor(Sym(1),Sym(1),Sym(1))", "tensor key arity mismatch"),
+        ("shape", "Trivial", "trivial factor key must be []"),
     ],
 )
 def test_malformed_vector_document_is_exit_1(tmp_path, field, value, message):
@@ -354,3 +357,76 @@ def test_unwritable_output_is_exit_1(tmp_path):
     code, out = run(["chow-polytope", "--d", "2", "--output", str(tmp_path)])
     assert code == 1
     assert json.loads(out) == _error(f"cannot open {tmp_path}: Is a directory", "chow-polytope")
+
+
+def test_discriminant_subcommand():
+    code, out = run(["discriminant", "--f=-1,0,1"])
+    assert code == 0
+    assert json.loads(out) == {"deg": 2, "discriminant": -4, "schema": "pairstab/v1"}
+    code, out = run(["discriminant", "--f=1,2,3", "--deg", "3"])
+    assert code == 1
+    assert json.loads(out) == _error("leading coefficient must be nonzero", "discriminant")
+
+
+@pytest.mark.parametrize(
+    "doc, code, verdict",
+    [
+        (
+            {
+                "v": {"N": 1, "shape": "Trivial", "entries": [[[], 1]]},
+                "w": {"N": 1, "shape": "Sym(3)", "entries": [[[1, 2], -1], [[3, 0], 1]]},
+            },
+            0,
+            {"method": "sl2-binary-forms", "status": "proven-semistable"},
+        ),
+        # (z, (z^2-2)^2): refuted only through an irrational root class, so
+        # the verdict has no conjugator, witness or value
+        (
+            {
+                "v": {"N": 1, "shape": "Sym(1)", "entries": [[[1, 0], 1]]},
+                "w": {"N": 1, "shape": "Sym(4)", "entries": [[[0, 4], 4], [[2, 2], -4], [[4, 0], 1]]},
+            },
+            2,
+            {
+                "conjugator": None,
+                "detail": "order criterion fails on a root class with no rational point",
+                "futaki": None,
+                "status": "unstable",
+                "witness": None,
+            },
+        ),
+    ],
+)
+def test_pair_check_binary_form_verdict_payloads(tmp_path, doc, code, verdict):
+    got, out = run(["pair-check", "--pair", _write(tmp_path, "pair.json", doc)])
+    assert got == code
+    assert json.loads(out)["verdict"] == verdict
+
+
+_V = _pair_doc()["v"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (5, "pair document needs fields 'v' and 'w'"),
+        ({"v": _V}, "pair document needs fields 'v' and 'w'"),
+        ({"v": _V, "w": 5}, "vector document must be an object"),
+        ({"v": _V, "w": {"N": 1, "shape": "Sym(2)"}}, "vector document is missing 'entries'"),
+    ],
+)
+def test_malformed_pair_document_is_exit_1(tmp_path, doc, message):
+    code, out = run(["pair-check", "--pair", _write(tmp_path, "pair.json", doc)])
+    assert code == 1
+    assert json.loads(out) == _error(message, "pair-check")
+
+
+@pytest.mark.parametrize("tmin, samples", [("0.5", 2), ("0.05", 6)])
+def test_energy_profile_without_a_slope(tmp_path, tmin, samples):
+    # a slope needs three samples spanning two decades of t
+    path = _write(tmp_path, "pair.json", _pair_doc())
+    code, out = run(["energy-profile", "--pair", path, "--u", "1,-1", "--tmin", tmin])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["slope"] is None
+    assert len(doc["samples"]) == samples

@@ -707,6 +707,76 @@ def test_low_dimensional_hull_matches_the_lp_route():
     assert pruned >= 1000, pruned
 
 
+def _lp_route_points(rng, k, big):
+    """Rational points spanning an affine k-space: random points of Q^k or,
+    when ``big``, 25 or 26 points of the moment curve (t, ..., t^k), all of
+    them vertices; sheared, with convex combinations mixed in, then up to
+    two pinned coordinates inserted and, half the time, a last coordinate
+    that gives every point one coordinate sum."""
+    if big:
+        ts = rng.sample(range(-14, 15), rng.randint(25, 26))
+        pts = [[Fraction(t, 4) ** (j + 1) for j in range(k)] for t in ts]
+    else:
+        pts = [[_random_rational(rng, 3) for _ in range(k)] for _ in range(rng.randint(k + 2, 10))]
+    for _ in range(2):
+        i, j = rng.sample(range(k), 2)
+        c = _random_rational(rng, 2)
+        for p in pts:
+            p[i] += c * p[j]
+    for _ in range(rng.randint(1, 3)):
+        ws = [rng.randint(0, 2) for _ in pts]
+        total = sum(ws) or 1
+        pts.append([sum(w * p[j] for w, p in zip(ws, pts)) / total for j in range(k)])
+    for _ in range(rng.randint(0, 2)):
+        c, at = _random_rational(rng, 3), rng.randint(0, len(pts[0]))
+        for p in pts:
+            p.insert(at, c)
+    if rng.random() < 0.5:
+        s = _random_rational(rng, 3)
+        for p in pts:
+            p.append(s - sum(p))
+    rng.shuffle(pts)
+    return [tuple(p) for p in pts]
+
+
+def test_lp_route_results_are_pinned(monkeypatch):
+    # hull vertices of effective dimension 3-6, and member and contains on
+    # the LP route (dimension 4-6); the extra queries are points of the
+    # affine hull moved along one coordinate, which breaks a pinned
+    # coordinate or the common sum when there is one
+    verdicts = []
+    in_hull_lp = lattice._in_hull_lp
+
+    def counting(vertices, x):
+        res = in_hull_lp(vertices, x)
+        verdicts.append(res.feasible)
+        return res
+
+    monkeypatch.setattr(lattice, "_in_hull_lp", counting)
+    rng = random.Random(1968)
+    h = hashlib.sha256()
+    dims = [0] * 7
+    big = 0
+    for i in range(84):
+        raw = _lp_route_points(rng, i % 4 + 3, i % 28 in (1, 10, 19))
+        P = hull(raw)
+        assert P.vertices == tuple(_extreme_points_lp(sorted(set(raw))))
+        dims[P.effective_dim()] += 1
+        big += len(P.vertices) > 24
+        h.update(repr(P.vertices).encode())
+        queries = _pinned_queries(rng, P, raw)
+        for x in queries[2:4]:
+            j = rng.randrange(P.ambient)
+            queries.append(x[:j] + (x[j] + _random_rational(rng, 2),) + x[j + 1 :])
+        for x in queries:
+            h.update(repr(member(P, x)).encode())
+        Q = hull(rng.sample(raw, rng.randint(1, len(raw))) + queries[2:4])
+        h.update(repr((contains(P, Q), contains(Q, P))).encode())
+    assert min(dims[3:]) >= 21 and big >= 9, (dims, big)
+    assert verdicts.count(True) >= 250 and verdicts.count(False) >= 90
+    assert h.hexdigest() == "5fb75a0586a636e3f99a078e555df960eb363eca823380dfcafecae29ec89ce1"
+
+
 _FORGED_WITNESSES = """
 import sys
 from fractions import Fraction
