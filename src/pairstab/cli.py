@@ -484,23 +484,21 @@ def _example_gkz() -> dict:
     return out
 
 
-_EXAMPLES = ("quadric-2x2", "sl3-xnil", "inaccessible-boundary", "gkz")
+_EXAMPLES = {
+    "quadric-2x2": lambda args: _example_quadric(),
+    "sl3-xnil": lambda args: _example_sl3_xnil(args.seed),
+    "inaccessible-boundary": lambda args: _example_boundary(),
+    "gkz": lambda args: _example_gkz(),
+}
 
 
 def _cmd_examples(args) -> tuple[int, dict]:
     name = args.name
     if name is None:
         return (0, {"available": list(_EXAMPLES)})
-    if name == "quadric-2x2":
-        payload = _example_quadric()
-    elif name == "sl3-xnil":
-        payload = _example_sl3_xnil(args.seed)
-    elif name == "inaccessible-boundary":
-        payload = _example_boundary()
-    elif name == "gkz":
-        payload = _example_gkz()
-    else:
+    if name not in _EXAMPLES:
         raise ValueError(f"unknown example {name!r}; available: {', '.join(_EXAMPLES)}")
+    payload = _EXAMPLES[name](args)
     payload["example"] = name
     return (0, payload)
 

@@ -37,7 +37,6 @@ agree and the LP stays the reference implementation.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -293,8 +292,9 @@ class LatticePolytope:
     """
 
     vertices: tuple[Point, ...]
-    _hrep: Optional[tuple] = field(default=None, compare=False, repr=False)
-    _itab: tuple = field(default=(), compare=False, repr=False)
+    # caches, never constructor arguments, so ``replace`` rebuilds them
+    _hrep: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _itab: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         pts = [fractions(p) for p in self.vertices]
@@ -478,21 +478,15 @@ def _facets(ys: list[Sequence]) -> list[tuple[tuple[int, ...], int]]:
     ``combinations`` order, has the signed maximal minors of its difference
     rows as normal (all zero when it is affinely dependent), made primitive
     with first nonzero entry positive.  The first subset on each line
-    appends (n, max), then (-n, -min), over the given points.  A subset
-    whose points all lie on one of these planes is skipped: its normal is
-    that plane's or zero."""
+    appends (n, max), then (-n, -min), over the given points."""
     d = len(ys[0])
+    if not d:
+        return []
     [flat], _ = int_rows([[c for y in ys for c in y]])
     ints = [flat[i * d : i * d + d] for i in range(len(ys))]
     facets: list[tuple[tuple[int, ...], int]] = []
     seen: set[tuple] = set()
-    # bit b of on[i] is set when point i lies on the b-th plane found; the
-    # empty subset of d = 0, which has no normal, meets the -1 and is skipped
-    on = [0] * len(ys)
-    bit = 1
     for T in itertools.combinations(range(len(ys)), d):
-        if functools.reduce(operator.and_, [on[i] for i in T], -1):
-            continue
         y0 = ints[T[0]]
         rows = [[a - b for a, b in zip(ints[i], y0)] for i in T[1:]]
         minors = [(-1) ** j * echelon([r[:j] + r[j + 1 :] for r in rows])[1] for j in range(d)]
@@ -503,14 +497,8 @@ def _facets(ys: list[Sequence]) -> list[tuple[tuple[int, ...], int]]:
             continue
         seen.add(normal)
         vals = [sum(map(operator.mul, normal, y)) for y in ys]
-        top, bottom = max(vals), min(vals)
-        facets.append((normal, top))
-        facets.append((tuple([-v for v in normal]), -bottom))
-        for c in (top, bottom):
-            for i, v in enumerate(vals):
-                if v == c:
-                    on[i] |= bit
-            bit <<= 1
+        facets.append((normal, max(vals)))
+        facets.append((tuple([-v for v in normal]), -min(vals)))
     return facets
 
 

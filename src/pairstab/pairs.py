@@ -28,6 +28,7 @@ from .lattice import (
     Weight,
     WitnessError,
     contains,
+    hull,
     member,
     min_norm_point,
     pairing,
@@ -113,15 +114,20 @@ def nss_fixed_torus(p: Pair) -> FixedTorusResult:
     positive futaki_gen, built from the LP separating functional and
     verified exactly before being returned.
     """
-    outer = weight_polytope(p.w)
+    return _supports_test(p.v.support(), p.w.support())
+
+
+def _supports_test(vs: Sequence, ws: Sequence) -> FixedTorusResult:
+    """``nss_fixed_torus`` on the supports vs of v and ws of w, all it reads."""
+    outer = hull([Weight(w).traceless() for w in ws])
     # the least inner point is a vertex of N(v); most refutations come
     # there, before N(v) is built
-    first = min(Weight(w).traceless() for w in p.v.support())
-    sep = member(outer, first).separator or contains(outer, weight_polytope(p.v)).separator
+    inner = [Weight(w).traceless() for w in vs]
+    sep = member(outer, min(inner)).separator or contains(outer, hull(inner)).separator
     if sep is None:
         return FixedTorusResult(True)
-    u = _witness_from_separator(sep, p.N + 1)
-    val = futaki_gen(p, u)
+    u = _witness_from_separator(sep, len(vs[0]))
+    val = min(pairing(wt, u) for wt in ws) - min(pairing(wt, u) for wt in vs)
     if val <= 0:
         raise WitnessError("separator produced a non-positive witness")
     return FixedTorusResult(False, u, val, sep)
@@ -259,17 +265,16 @@ def _first_refutation(
 ) -> Optional[Unstable]:
     """The first conjugator whose torus refutes the pair, or None.
 
-    The test at a torus sees only the supports of the conjugated pair, so
-    ``contained`` collects the support pairs already shown contained, and
-    only a new one is conjugated and tested; the first refuter is the same.
-    The pair is cleared once; conjugators may hold ints, and the refuting
-    one is returned in ``Fraction``.
+    Each torus is tested on the supports that ``image_supports`` returns;
+    ``contained`` collects the support pairs already shown contained.  The
+    pair is cleared once; conjugators may hold ints, and the refuting one
+    is returned in ``Fraction``.
     """
     vectors = (int_vector(p.v), int_vector(p.w))
     for sigma in sigmas:
         key = image_supports(sigma, vectors)
         if key not in contained:
-            res = nss_fixed_torus(conjugate_pair(p, sigma))
+            res = _supports_test(*key)
             if not res:
                 return Unstable(_fraction_matrix(sigma), res.witness, res.futaki)
             contained.add(key)
@@ -285,9 +290,9 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
     not refute there); with none flagged, the violating root class has no
     rational point.  Otherwise the fixed torus and ``samples`` random
     conjugates are tested in order and the first refutation wins;
-    exhaustion is reported as NotRefuted, never as a proof.  Each distinct
-    support pair of a conjugate is tested once per call, as the test sees
-    only those; ``NotRefuted.tori_tested`` still counts every torus swept.
+    exhaustion is reported as NotRefuted, never as a proof.  Each torus is
+    tested on the supports of the two images, each distinct pair once per
+    call; ``NotRefuted.tori_tested`` still counts every torus swept.
 
     ``decider=False`` turns the exact binary-form shortcut and the order
     test off, so such pairs run the polytope test on the same candidates
@@ -318,16 +323,17 @@ def nss_check(p: Pair, samples: int = 64, seed: int = 0, decider: bool = True) -
         if sigma is None:
             detail = "order criterion fails on a root class with no rational point"
             return Unstable(None, None, None, detail)
-        res = nss_fixed_torus(conjugate_pair(p, sigma))
+        res = _supports_test(*image_supports(sigma, (p.v, p.w)))
         if res:
             raise WitnessError("the order test flagged a torus that does not refute")
         return Unstable(sigma, res.witness, res.futaki)
-    fixed = nss_fixed_torus(p)
+    key = (p.v.support(), p.w.support())
+    fixed = _supports_test(*key)
     if not fixed:
         return Unstable(identity_matrix(p.N + 1), fixed.witness, fixed.futaki)
     # integer conjugators: a refuting one leaves the sweep as Fractions
     sigmas = (_int_conjugator(rng, p.N + 1) for _ in range(samples))
-    refuted = _first_refutation(p, sigmas, {(p.v.support(), p.w.support())})
+    refuted = _first_refutation(p, sigmas, {key})
     return refuted or NotRefuted(samples + 1)
 
 

@@ -42,7 +42,7 @@ class ToricData:
         object.__setattr__(self, "B", B)
 
     def complement(self) -> tuple[IntPoint, ...]:
-        return tuple(p for p in self.A if p not in set(self.B))
+        return tuple(sorted(set(self.A).difference(self.B)))
 
 
 def star_sides(data: ToricData, u: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -180,40 +180,23 @@ def _facet_sets(pts: tuple[IntPoint, ...]) -> set[frozenset]:
     return {frozenset([i for i, y in enumerate(ys) if _dot(n, y) == c]) for n, c in _facets(ys)}
 
 
-def _face_functional(
-    pts: tuple[IntPoint, ...], S: set, dim: int
-) -> Optional[IntPoint]:
-    """Integer u with pairing constant c on S and at least c+1 off S."""
+def _face_functional(pts: tuple[IntPoint, ...], S: set, dim: int) -> Optional[IntPoint]:
+    """Integer u with pairing constant on S and at least one more off S.
+    The phase-1 LP rows are the differences from base = min S: of the rest
+    of S, sorted (= 0), then of the points off S in ``pts`` order (>= 1, a
+    -1 slack each); the columns hold +u, then -u, then the slacks."""
+    base = min(S)
     rest = [p for p in pts if p not in S]
-    base = next(iter(sorted(S)))
-    # unknowns: u (split into positive and negative parts), c, slacks;
-    # rows: equalities over S, inequalities with slack over the rest
-    rows = []
-    rhs = []
-    for p in sorted(S):
-        if p == base:
-            continue
-        rows.append(("eq", [a - b for a, b in zip(p, base)]))
-        rhs.append(0)
-    for p in rest:
-        rows.append(("ge", [a - b for a, b in zip(p, base)]))
-        rhs.append(1)
+    rows = [[a - b for a, b in zip(p, base)] for p in sorted(S)[1:] + rest]
     if not rows:
         return (0,) * dim
-    columns = []
-    for sign in (1, -1):
-        for j in range(dim):
-            columns.append([sign * diff[j] for _, diff in rows])
-    for i, (kind, _) in enumerate(rows):
-        if kind == "ge":
-            col = [0] * len(rows)
-            col[i] = -1
-            columns.append(col)
-    x = solve_phase1(columns, rhs).x
+    eqs = len(S) - 1
+    columns = [[sign * r[j] for r in rows] for sign in (1, -1) for j in range(dim)]
+    columns += [[-int(i == k) for i in range(len(rows))] for k in range(eqs, len(rows))]
+    x = solve_phase1(columns, [0] * eqs + [1] * len(rest)).x
     if x is None:
         return None
-    u_frac = [x[j] - x[dim + j] for j in range(dim)]
-    return tuple(_linalg.primitive(u_frac))
+    return tuple(_linalg.primitive([x[j] - x[dim + j] for j in range(dim)]))
 
 
 def max_certificate_coordinate(certs: Sequence[FaceCertificate]) -> int:

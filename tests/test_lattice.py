@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -85,6 +86,18 @@ def test_hull_singleton():
 def test_hull_empty():
     with pytest.raises(ValueError):
         hull([])
+
+
+def test_replace_builds_the_caches_of_the_new_hull():
+    P = hull([(0, 0), (1, 0), (0, 1)])
+    assert member(P, (1, 1)).separator is not None
+    Q = dataclasses.replace(P, vertices=((0, 0), (3, 0), (0, 3)))
+    assert member(Q, (1, 1))
+    assert Q.effective_dim() == 2
+    with pytest.raises(TypeError):
+        lattice.LatticePolytope(((0, 0), (1, 0)), _hrep=P._hrep)
+    with pytest.raises(TypeError):
+        lattice.LatticePolytope(((0, 0), (1, 0)), _itab=P._itab)
 
 
 def test_hull_square_interior():

@@ -475,44 +475,36 @@ def test_memoised_sweep_matches_unmemoised_sweep():
 
 
 def test_fixed_torus_runs_once_per_support_key(monkeypatch):
-    def key(q):
-        return q.v.support(), q.w.support()
+    tested, met, built = [], [], []
+    test = pairs._supports_test
 
-    tested, swept, met = [], [], []
-
-    def counting_test(q):
-        tested.append(key(q))
-        return nss_fixed_torus(q)
-
-    def counting_conjugate(p, sigma):
-        q = conjugate_pair(p, sigma)
-        swept.append(key(q))
-        return q
+    def counting_test(vs, ws):
+        tested.append((vs, ws))
+        return test(vs, ws)
 
     def recording_supports(sigma, vectors):
         supports = image_supports(sigma, vectors)
         met.append(supports)
         return supports
 
-    monkeypatch.setattr(pairs, "nss_fixed_torus", counting_test)
-    monkeypatch.setattr(pairs, "conjugate_pair", counting_conjugate)
+    monkeypatch.setattr(pairs, "_supports_test", counting_test)
     monkeypatch.setattr(pairs, "image_supports", recording_supports)
+    monkeypatch.setattr(pairs, "conjugate_pair", lambda p, sigma: built.append(sigma))
+    monkeypatch.setattr(pairs, "matrix_action", lambda sigma, v: built.append(sigma))
     rng = random.Random(33)
     exhausted = 0
     for p, kwargs in [(_moved_conic(rng), {}) for _ in range(3)] + [
         (_sl2_pair(rng, i % 2 == 1), {"decider": False}) for i in range(40)
     ]:
         tested.clear()
-        swept.clear()
         met.clear()
         verdict = nss_check(p, **kwargs)
-        # every support pair the sweep met was tested, and tested once; the
-        # conjugates are built only for support pairs being tested, so the
-        # keys met before conjugating are what this checks
+        # every support pair the sweep met was tested, and tested once, and
+        # no conjugated pair was built
         assert met
         assert len(tested) == len(set(tested))
-        assert set(swept) <= set(tested)
         assert set(met) <= set(tested)
+        assert built == []
         if isinstance(verdict, NotRefuted):
             assert len(tested) < verdict.tori_tested
             exhausted += 1
@@ -635,19 +627,21 @@ def test_order_gate_matches_polytope_test_on_every_candidate():
 
 def test_decider_runs_one_torus_per_witnessed_refutation(monkeypatch):
     tested = []
+    test = pairs._supports_test
 
-    def counting_test(q):
-        tested.append(q)
-        return nss_fixed_torus(q)
+    def counting_test(vs, ws):
+        tested.append((vs, ws))
+        return test(vs, ws)
 
-    monkeypatch.setattr(pairs, "nss_fixed_torus", counting_test)
+    monkeypatch.setattr(pairs, "_supports_test", counting_test)
     kinds = {"witnessed": 0, "irrational": 0, "semistable": 0}
     for p in _gate_pairs(78, 300):
         tested.clear()
         verdict = nss_check(p)
         if isinstance(verdict, Unstable) and verdict.witness is not None:
             assert len(tested) == 1
-            assert tested[0] == conjugate_pair(p, verdict.conjugator)
+            q = conjugate_pair(p, verdict.conjugator)
+            assert tested[0] == (q.v.support(), q.w.support())
             kinds["witnessed"] += 1
         else:
             assert tested == []

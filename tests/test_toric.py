@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from pairstab import _linalg, toric
-from pairstab.lattice import WitnessError
+from pairstab.lattice import WitnessError, solve_phase1
 from pairstab.toric import (
     FaceCertificate,
     ToricData,
@@ -247,3 +248,86 @@ def test_accessible_faces_runs_one_lp_per_face(monkeypatch):
         calls.clear()
         result = accessible_faces(A)
         assert len(calls) == len(result)
+
+
+def _face_functional_tagged(pts, S, dim):
+    """``toric._face_functional`` as it stood with tagged LP rows, kept
+    verbatim as the reference for the direct build."""
+    rest = [p for p in pts if p not in S]
+    base = next(iter(sorted(S)))
+    # unknowns: u (split into positive and negative parts), c, slacks;
+    # rows: equalities over S, inequalities with slack over the rest
+    rows = []
+    rhs = []
+    for p in sorted(S):
+        if p == base:
+            continue
+        rows.append(("eq", [a - b for a, b in zip(p, base)]))
+        rhs.append(0)
+    for p in rest:
+        rows.append(("ge", [a - b for a, b in zip(p, base)]))
+        rhs.append(1)
+    if not rows:
+        return (0,) * dim
+    columns = []
+    for sign in (1, -1):
+        for j in range(dim):
+            columns.append([sign * diff[j] for _, diff in rows])
+    for i, (kind, _) in enumerate(rows):
+        if kind == "ge":
+            col = [0] * len(rows)
+            col[i] = -1
+            columns.append(col)
+    x = solve_phase1(columns, rhs).x
+    if x is None:
+        return None
+    u_frac = [x[j] - x[dim + j] for j in range(dim)]
+    return tuple(_linalg.primitive(u_frac))
+
+
+def _pinned_character_sets(seed, count):
+    """Sets of dimension 1-4 with 1-8 points in a box, every fourth one on a
+    line through a random point."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        dim, m = k % 4 + 1, rng.randint(1, 8)
+        if k % 4 == 3:
+            p0 = [rng.randint(-2, 2) for _ in range(dim)]
+            v = [rng.randint(-2, 2) for _ in range(dim)]
+            A = [tuple(a + t * b for a, b in zip(p0, v)) for t in rng.sample(range(-4, 4), m)]
+        else:
+            box = (3, 2, 1, 1)[dim - 1]
+            A = [tuple(rng.randint(-box, box) for _ in range(dim)) for _ in range(m)]
+        out.append(A)
+    return out
+
+
+def test_face_functional_matches_the_tagged_row_build():
+    rng = random.Random(2024)
+    feasible = 0
+    for A in _pinned_character_sets(2025, 300):
+        pts = tuple(sorted(set(A)))
+        for _ in range(6):
+            S = set(rng.sample(pts, rng.randint(1, len(pts))))
+            u = toric._face_functional(pts, S, len(pts[0]))
+            assert u == _face_functional_tagged(pts, S, len(pts[0])), (pts, S)
+            feasible += u is not None
+    assert 900 <= feasible <= 1_500, feasible
+
+
+def test_face_certificates_and_extension_results_are_pinned():
+    rng = random.Random(1971)
+    h = hashlib.sha256()
+    faces = refuted = 0
+    for A in _pinned_character_sets(1970, 400):
+        certs = accessible_faces(A)
+        faces += len(certs)
+        h.update(repr(certs).encode())
+        pts = sorted(set(A))
+        B = rng.sample(pts, rng.randint(1, len(pts)))
+        res = extension_criterion(ToricData(A, B, len(pts[0])))
+        refuted += not res
+        h.update(repr(res).encode())
+    assert faces >= 2_000 and refuted >= 150, (faces, refuted)
+    assert h.hexdigest() == "6acb41a18ecfe8848d3ecdf83f796d76416b18b207a39c12223b36fe7b8a4fbe"
