@@ -1,8 +1,8 @@
 """Multivariate integer polynomials as exponent-tuple dicts.
 
-Only what the symbolic discriminant expansion, the Sym action of ``rep``
-and their tests need: addition, subtraction, multiplication, negation and
-exact division by one variable.
+Only what the symbolic discriminant expansion of ``binaryforms`` and its
+tests need: addition, subtraction, multiplication, negation and exact
+division by one variable.
 Coefficients are Python ints; exponents are tuples of nonnegative ints of a
 fixed arity.
 """

@@ -3,8 +3,10 @@
 Supported shapes: symmetric powers in the monomial basis, wedge powers in the
 sorted-subset basis, pure tensor products of those, and the trivial module.
 All actions are computed by exact substitution and expansion in integers,
-with one division restoring the rational coefficients.  A Sym key's image is
-a product of powers of the matrix's column forms, which every key shares.
+with one division restoring the rational coefficients.  A Sym vector's image
+is one dense int list over the Sym basis, accumulated from powers of the
+matrix's column forms, which every key shares, through cached tables of
+monomial products.
 The Weyl group is the full set of coordinate permutations.
 
 Vectors are stored with coefficients keyed by basis element, not by weight:
@@ -17,19 +19,21 @@ from __future__ import annotations
 import itertools
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from . import _linalg, _poly
+from . import _linalg
 from .lattice import LatticePolytope, Weight, hull
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 class ElementaryProduct(tuple):
-    """Rows of an integer product of elementary matrices: determinant one by
-    construction, so the actions skip their determinant check on it."""
+    """Rows of an integer product of elementary matrices: integer with
+    determinant one by construction, so the actions skip their clearing and
+    determinant check on it."""
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +279,18 @@ def matrix_action(
     sigma is cleared once to an integer matrix over one common denominator
     m, the coefficients of v over one denominator q, and every image
     coefficient is homogeneous of the shape's degree h in the matrix
-    entries, so one division by q * m**h restores it.  The powers L_i^e of
-    the column forms L_i = sum_j sigma[j][i] x_j are built once per matrix,
-    and each Sym key's image is a product of them.
+    entries, so one division by q * m**h restores it.  A Sym image is one
+    dense int list over the basis: each key adds the product of the powers
+    L_i^e of the column forms L_i = sum_j sigma[j][i] x_j, kept as dense
+    int lists over the monomials of degree e, built once per matrix and
+    multiplied through cached tables of monomial products.
 
     Raises:
         ValueError: wrong matrix size, determinant not one, or a shape
             without an implemented action.
     """
-    [(out, den)] = _int_images(sigma, [v])
-    coeffs = tuple((k, Fraction(a, den)) for k, a in out.items() if a)
+    [(keys, ints, den)] = _int_images(sigma, [v])
+    coeffs = tuple((k, Fraction(a, den)) for k, a in zip(keys, ints) if a)
     if not coeffs:
         raise AssertionError("invertible action produced zero")
     return WeightedVector(v.module, coeffs)
@@ -293,34 +299,53 @@ def matrix_action(
 def image_supports(sigma: Sequence[Sequence], vectors: Sequence) -> tuple:
     """The supports of sigma.v for vectors v over one group (WeightedVectors
     or IntVectors), from one clearing of sigma; they need only which image
-    coefficients are nonzero."""
+    coefficients are nonzero.  A Sym image runs over the basis in order, and
+    a Sym key is its own weight, so its support is read off in order."""
     return tuple(
-        tuple(sorted({v.module.weight_of(k) for k, a in out.items() if a}))
-        for v, (out, _) in zip(vectors, _int_images(sigma, vectors))
+        tuple(itertools.compress(keys, ints))
+        if isinstance(v.module.shape, Sym)
+        else tuple(sorted({v.module.weight_of(k) for k in itertools.compress(keys, ints)}))
+        for v, (keys, ints, _) in zip(vectors, _int_images(sigma, vectors))
     )
 
 
 def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
-    """(den * sigma.v by basis key, zeros kept, as ints; den) for each v."""
+    """(keys, ints, den) for each v: den * sigma.v has the int ints[i] on
+    keys[i], zeros kept; a Sym image runs over the whole basis in order."""
     n = vectors[0].module.n_vars
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
-    entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for row in sigma for x in row]
-    [flat], m = _linalg.int_rows([entries])
-    mat = [flat[i * n : (i + 1) * n] for i in range(n)]
-    if not isinstance(sigma, ElementaryProduct) and _linalg.echelon(mat[:])[1] != m**n:
-        raise ValueError("matrix determinant must be exactly 1")
-    # the linear forms L_i = sum_j mat[j][i] x_j of the columns, seeding the
-    # powers L_i^e that every Sym key of every vector shares
-    units = [tuple([int(j == k) for k in range(n)]) for j in range(n)]
-    powers = {(i, 1): {u: row[i] for u, row in zip(units, mat) if row[i]} for i in range(n)}
+    if isinstance(sigma, ElementaryProduct):
+        # integer by construction: m = 1, and the determinant is one
+        mat, m = sigma, 1
+    else:
+        entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for row in sigma for x in row]
+        [flat], m = _linalg.int_rows([entries])
+        mat = [flat[i * n : (i + 1) * n] for i in range(n)]
+        if _linalg.echelon(mat[:])[1] != m**n:
+            raise ValueError("matrix determinant must be exactly 1")
+    # powers[i] lists L_i, L_i^2, ... as built so far; the degree-1 basis is
+    # e_{n-1}, ..., e_0, so L_i is column i read bottom to top
+    powers = [[list(col)] for col in zip(*mat[::-1])]
     for v in map(int_vector, vectors):
+        shape, h = v.module.shape, _degree(v.module.shape)
+        if h == 0:
+            # Trivial, Sym(0) and their tensors: every matrix acts as one
+            yield v.keys, v.coeffs, v.q
+            continue
+        if isinstance(shape, Sym):
+            index = _sym_index(n, h)
+            dense = [0] * len(index)
+            for key, c in zip(v.keys, v.coeffs):
+                _add_sym_image(dense, c, powers, key)
+            yield index, dense, v.q * m**h
+            continue
         out: dict = {}
         get = out.get
         for key, c in zip(v.keys, v.coeffs):
-            for new_key, a in _key_action(v.module.shape, mat, powers, key).items():
+            for new_key, a in _key_action(shape, mat, powers, key).items():
                 out[new_key] = get(new_key, 0) + c * a
-        yield out, v.q * m ** _degree(v.module.shape)
+        yield out.keys(), out.values(), v.q * m**h
 
 
 def _degree(shape: Shape) -> int:
@@ -330,19 +355,68 @@ def _degree(shape: Shape) -> int:
     return 0 if isinstance(shape, Trivial) else shape.degree
 
 
-def _key_action(shape: Shape, mat: list[list[int]], powers: dict, key) -> dict:
+@functools.lru_cache(maxsize=None)
+def _sym_index(n: int, k: int) -> dict:
+    """Position of each degree-k exponent tuple in n variables in the Sym(k)
+    basis order."""
+    return {key: i for i, key in enumerate(_basis_keys(Module(n - 1, Sym(k))))}
+
+
+@functools.lru_cache(maxsize=None)
+def _product_table(n: int, a: int, b: int) -> tuple:
+    """For the i-th degree-a monomial, the (j, k) with the j-th degree-b
+    monomial times it the k-th degree-(a + b) one, in Sym basis orders."""
+    index = _sym_index(n, a + b)
+    return tuple(
+        tuple((j, index[tuple(map(operator.add, x, y))]) for j, y in enumerate(_sym_index(n, b)))
+        for x in _sym_index(n, a)
+    )
+
+
+def _add_sym_image(out: list, c: int, powers: list, key: tuple) -> None:
+    """Add c times the image of a Sym key of positive degree to the dense
+    list ``out``.  The image is the product of the powers L_i^e of the
+    column forms, which are built on demand in ``powers``; its last linear
+    factor is multiplied straight into ``out``."""
+    n = len(key)
+    last = n - 1
+    while not key[last]:
+        last -= 1
+    image, deg = [c], 0
+    for i, e in enumerate(key):
+        e -= i == last
+        if e:
+            power = powers[i]
+            while len(power) < e:
+                power.append(_dense_mul(power[-1], len(power), power[0], 1, n))
+            image = [c * x for x in power[e - 1]] if deg == 0 else _dense_mul(image, deg, power[e - 1], e, n)
+            deg += e
+    _dense_mul(image, deg, powers[last][0], 1, n, out)
+
+
+def _dense_mul(p: list, a: int, q: list, b: int, n: int, out: list | None = None) -> list:
+    """Product of dense forms of degrees a and b in n variables, added into
+    ``out`` when given."""
+    if out is None:
+        out = [0] * len(_sym_index(n, a + b))
+    for x, row in zip(p, _product_table(n, a, b)):
+        if x:
+            for j, k in row:
+                out[k] += x * q[j]
+    return out
+
+
+def _key_action(shape: Shape, mat: list[list[int]], powers: list, key) -> dict:
     """Image of one basis key under the integer matrix ``mat``; ``powers``
     holds the powers of mat's column forms, shared by every Sym key."""
     n = len(mat)
+    if _degree(shape) == 0:
+        return {key: 1}
     if isinstance(shape, Sym):
-        poly = None
-        for i, e in enumerate(key):
-            if e:
-                power = _column_power(powers, i, e)
-                poly = power if poly is None else _poly.mul(poly, power)
-        return {(0,) * n: 1} if poly is None else poly
-    if isinstance(shape, Trivial):
-        return {(): 1}
+        index = _sym_index(n, shape.degree)
+        dense = [0] * len(index)
+        _add_sym_image(dense, 1, powers, key)
+        return {k: a for k, a in zip(index, dense) if a}
     if isinstance(shape, Wedge):
         out = {}
         for rows in itertools.combinations(range(n), len(key)):
@@ -357,14 +431,6 @@ def _key_action(shape: Shape, mat: list[list[int]], powers: dict, key) -> dict:
             for combo in itertools.product(*(p.items() for p in parts))
         }
     raise ValueError("no action implemented for shape %r" % (shape,))
-
-
-def _column_power(powers: dict, i: int, e: int) -> dict:
-    """L_i^e as {exponent tuple: int}, from L_i^(e-1), kept in ``powers``."""
-    got = powers.get((i, e))
-    if got is None:
-        got = powers[i, e] = _poly.mul(_column_power(powers, i, e - 1), powers[i, 1])
-    return got
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pairstab import _linalg
 from pairstab.lattice import contains, hull
-from pairstab.pairs import random_conjugator
+from pairstab.pairs import _int_conjugator, random_conjugator
 from pairstab.rep import (
     Module,
     Sym,
@@ -19,6 +19,8 @@ from pairstab.rep import (
     WeightedVector,
     attainable_polytopes,
     dominance_leq,
+    image_supports,
+    int_vector,
     matrix_action,
     parse_shape,
     shape_name,
@@ -374,3 +376,38 @@ def test_boundary_example_curve_is_unchanged():
     for t in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
         sigma = ((t, Fraction(1) / t**2), (Fraction(0), Fraction(1) / t))
         assert repr(matrix_action(sigma, v)) == repr(_matrix_action_fraction(sigma, v))
+
+
+_SUPPORT_SHAPES = [Trivial()] + [Sym(d) for d in range(6)] + [
+    Tensor((Sym(2), Wedge(1))),
+    Tensor((Sym(1), Sym(3))),
+    Tensor((Sym(0), Wedge(2))),
+]
+
+
+def test_image_supports_match_the_supports_of_matrix_action():
+    # the Sym route runs over the whole basis and reads the support off its
+    # nonzero entries in basis order; matrix_action builds the vector
+    rng = random.Random(2024)
+    sym_images = sparse = 0
+    for k in range(240):
+        n = 2 + k % 3
+        mod = Module(n - 1, _SUPPORT_SHAPES[k // 3 % len(_SUPPORT_SHAPES)])
+        vs = [
+            vector(mod, {key: _rational(rng) for key in rng.sample(mod.basis, min(len(mod.basis), size))})
+            for size in (1, rng.randint(2, 6))
+        ]
+        if k % 4 == 3:
+            # a sparse matrix, so that some image coefficients vanish
+            sigma = tuple(tuple(Fraction(int(i == j or j == i + 1)) for j in range(n)) for i in range(n))
+        else:
+            sigma = _int_conjugator(rng, n) if k % 2 else _rational_sl(rng, n)
+        expected = tuple(matrix_action(sigma, v).support() for v in vs)
+        assert image_supports(sigma, vs) == expected
+        assert image_supports(sigma, [int_vector(v) for v in vs]) == expected
+        if isinstance(mod.shape, Sym):
+            sym_images += 2
+            # Sym weights are distinct, so a shorter support has zero entries
+            sparse += sum(len(s) < mod.dimension for s in expected)
+    assert sym_images >= 280
+    assert sparse >= 100
