@@ -3,10 +3,10 @@
 Supported shapes: symmetric powers in the monomial basis, wedge powers in the
 sorted-subset basis, pure tensor products of those, and the trivial module.
 All actions are computed by exact substitution and expansion in integers,
-with one division restoring the rational coefficients.  A Sym vector's image
-is one dense int list over the Sym basis, accumulated from powers of the
-matrix's column forms, which every key shares, through cached tables of
-monomial products.
+with one division restoring the rational coefficients.  Every image is one
+dense int list over the module basis: a Sym key adds products of powers of
+the matrix's column forms through cached tables of monomial products, a
+Wedge key its minors, and a Tensor key the Kronecker product of its factors.
 The Weyl group is the full set of coordinate permutations.
 
 Vectors are stored with coefficients keyed by basis element, not by weight:
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -279,11 +278,12 @@ def matrix_action(
     sigma is cleared once to an integer matrix over one common denominator
     m, the coefficients of v over one denominator q, and every image
     coefficient is homogeneous of the shape's degree h in the matrix
-    entries, so one division by q * m**h restores it.  A Sym image is one
-    dense int list over the basis: each key adds the product of the powers
-    L_i^e of the column forms L_i = sum_j sigma[j][i] x_j, kept as dense
-    int lists over the monomials of degree e, built once per matrix and
-    multiplied through cached tables of monomial products.
+    entries, so one division by q * m**h restores it.  The image is one
+    dense int list over the basis: a Sym key adds the product of the powers
+    L_i^e of the column forms L_i = sum_j sigma[j][i] x_j, built once per
+    matrix and multiplied through cached tables of monomial products, a
+    Wedge key its minors, and a Tensor key the Kronecker product of its
+    factors' images.
 
     Raises:
         ValueError: wrong matrix size, determinant not one, or a shape
@@ -299,8 +299,8 @@ def matrix_action(
 def image_supports(sigma: Sequence[Sequence], vectors: Sequence) -> tuple:
     """The supports of sigma.v for vectors v over one group (WeightedVectors
     or IntVectors), from one clearing of sigma; they need only which image
-    coefficients are nonzero.  A Sym image runs over the basis in order, and
-    a Sym key is its own weight, so its support is read off in order."""
+    coefficients are nonzero.  An image runs over the basis in order, and a
+    Sym key is its own weight, so a Sym support is read off in order."""
     return tuple(
         tuple(itertools.compress(keys, ints))
         if isinstance(v.module.shape, Sym)
@@ -311,7 +311,8 @@ def image_supports(sigma: Sequence[Sequence], vectors: Sequence) -> tuple:
 
 def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
     """(keys, ints, den) for each v: den * sigma.v has the int ints[i] on
-    keys[i], zeros kept; a Sym image runs over the whole basis in order."""
+    keys[i], zeros kept; a degree-0 image is v itself, any other runs over
+    the whole basis in order."""
     n = vectors[0].module.n_vars
     if len(sigma) != n or any(len(row) != n for row in sigma):
         raise ValueError("matrix must be %d x %d" % (n, n))
@@ -328,6 +329,8 @@ def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
     # e_{n-1}, ..., e_0, so L_i is column i read bottom to top
     powers = [[list(col)] for col in zip(*mat[::-1])]
     for v in map(int_vector, vectors):
+        if v.module.n_vars != n:
+            raise ValueError("matrix must be %d x %d" % ((v.module.n_vars,) * 2))
         shape, h = v.module.shape, _degree(v.module.shape)
         if h == 0:
             # Trivial, Sym(0) and their tensors: every matrix acts as one
@@ -340,12 +343,12 @@ def _int_images(sigma: Sequence[Sequence], vectors: Sequence) -> Iterable:
                 _add_sym_image(dense, c, powers, key)
             yield index, dense, v.q * m**h
             continue
-        out: dict = {}
-        get = out.get
+        basis = v.module.basis
+        image = [0] * len(basis)
         for key, c in zip(v.keys, v.coeffs):
-            for new_key, a in _key_action(shape, mat, powers, key).items():
-                out[new_key] = get(new_key, 0) + c * a
-        yield out.keys(), out.values(), v.q * m**h
+            for i, a in enumerate(_key_image(shape, mat, powers, key)):
+                image[i] += c * a
+        yield basis, image, v.q * m**h
 
 
 def _degree(shape: Shape) -> int:
@@ -406,30 +409,28 @@ def _dense_mul(p: list, a: int, q: list, b: int, n: int, out: list | None = None
     return out
 
 
-def _key_action(shape: Shape, mat: list[list[int]], powers: list, key) -> dict:
-    """Image of one basis key under the integer matrix ``mat``; ``powers``
-    holds the powers of mat's column forms, shared by every Sym key."""
+def _key_image(shape: Shape, mat: list[list[int]], powers: list, key) -> list[int]:
+    """Image of one basis key under the integer matrix ``mat``, as a dense
+    int list over the shape's basis in order; ``powers`` holds the powers of
+    mat's column forms, shared by every Sym key."""
     n = len(mat)
-    if _degree(shape) == 0:
-        return {key: 1}
     if isinstance(shape, Sym):
-        index = _sym_index(n, shape.degree)
-        dense = [0] * len(index)
-        _add_sym_image(dense, 1, powers, key)
-        return {k: a for k, a in zip(index, dense) if a}
+        if not shape.degree:
+            return [1]
+        image = [0] * len(_sym_index(n, shape.degree))
+        _add_sym_image(image, 1, powers, key)
+        return image
     if isinstance(shape, Wedge):
-        out = {}
-        for rows in itertools.combinations(range(n), len(key)):
-            d = _linalg.echelon([[mat[r][c] for c in key] for r in rows])[1]
-            if d:
-                out[rows] = d
-        return out
+        return [
+            _linalg.echelon([[mat[r][c] for c in key] for r in rows])[1]
+            for rows in itertools.combinations(range(n), len(key))
+        ]
     if isinstance(shape, Tensor):
-        parts = [_key_action(f, mat, powers, k) for f, k in zip(shape.factors, key)]
-        return {
-            tuple(k for k, _ in combo): math.prod(c for _, c in combo)
-            for combo in itertools.product(*(p.items() for p in parts))
-        }
+        image = [1]
+        for f, k in zip(shape.factors, key):
+            part = _key_image(f, mat, powers, k)
+            image = [a * b for a in image for b in part]
+        return image
     raise ValueError("no action implemented for shape %r" % (shape,))
 
 
@@ -463,18 +464,14 @@ def dominance_leq(lam: Sequence[int], mu: Sequence[int]) -> bool:
     totals it is the order the orbit-polytope comparison actually satisfies,
     since weight classes only see centered representatives.
     """
-    a = [Fraction(int(x)) for x in lam]
-    b = [Fraction(int(x)) for x in mu]
-    size = max(len(a), len(b))
-    a += [Fraction(0)] * (size - len(a))
-    b += [Fraction(0)] * (size - len(b))
-    ma = sum(a) / size
-    mb = sum(b) / size
-    pa = Fraction(0)
-    pb = Fraction(0)
-    for i in range(size):
-        pa += a[i] - ma
-        pb += b[i] - mb
+    a = [int(x) for x in lam]
+    b = [int(x) for x in mu]
+    size, ta, tb = max(len(a), len(b)), sum(a), sum(b)
+    # size times each centred partial sum, so that no Fraction is built
+    pa = pb = 0
+    for x, y in itertools.zip_longest(a, b, fillvalue=0):
+        pa += size * x - ta
+        pb += size * y - tb
         if pa > pb:
             return False
     return True

@@ -37,6 +37,21 @@ def test_no_unused_imports():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _bare_asserts(source: str) -> list[int]:
+    """Line of each ``assert`` statement, which ``python -O`` strips."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert))
+
+
+def test_checker_flags_bare_asserts():
+    source = "def f(x):\n    assert x, 'no x'\n    if not x:\n        raise ValueError(x)\nassert f\n"
+    assert _bare_asserts(source) == [2, 5]
+
+
+def test_no_bare_asserts():
+    found = {path.name: _bare_asserts(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def _dead_private_defs(modules: dict[str, str]) -> list[str]:
     """``module.name`` of each top-level ``_``-prefixed function or class
     that nothing outside its own definition refers to.

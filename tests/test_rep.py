@@ -136,6 +136,8 @@ def test_dominance_examples():
     assert dominance_leq((2, 1, 1, 0), (2, 2, 0, 0))
     assert not dominance_leq((3, 1, 0, 0), (2, 2, 0, 0))
     assert dominance_leq((1, 1, 1, 1), (4, 0, 0, 0))
+    # no partial sum to compare
+    assert dominance_leq([], [])
 
 
 def test_dominance_unequal_sums_centered():
@@ -379,18 +381,22 @@ def test_boundary_example_curve_is_unchanged():
 
 
 _SUPPORT_SHAPES = [Trivial()] + [Sym(d) for d in range(6)] + [
+    Wedge(1),
+    Wedge(2),
     Tensor((Sym(2), Wedge(1))),
     Tensor((Sym(1), Sym(3))),
     Tensor((Sym(0), Wedge(2))),
+    Tensor((Wedge(2), Wedge(2))),
+    Tensor((Sym(2), Wedge(2))),
 ]
 
 
 def test_image_supports_match_the_supports_of_matrix_action():
-    # the Sym route runs over the whole basis and reads the support off its
-    # nonzero entries in basis order; matrix_action builds the vector
+    # every image runs over the whole basis and the support is read off its
+    # nonzero entries; matrix_action builds the vector
     rng = random.Random(2024)
     sym_images = sparse = 0
-    for k in range(240):
+    for k in range(336):
         n = 2 + k % 3
         mod = Module(n - 1, _SUPPORT_SHAPES[k // 3 % len(_SUPPORT_SHAPES)])
         vs = [
@@ -411,3 +417,15 @@ def test_image_supports_match_the_supports_of_matrix_action():
             sparse += sum(len(s) < mod.dimension for s in expected)
     assert sym_images >= 280
     assert sparse >= 100
+
+
+def test_image_supports_rejects_a_vector_of_another_size():
+    sigma = random_conjugator(random.Random(3), 3)
+    v = vector(Module(2, Sym(2)), {(1, 1, 0): 1})
+    for u in (
+        vector(Module(1, Sym(2)), {(1, 1): 1}),
+        vector(Module(1, Tensor((Sym(1), Wedge(1)))), {((1, 0), (0,)): 1}),
+    ):
+        with pytest.raises(ValueError, match="matrix must be 2 x 2"):
+            image_supports(sigma, [v, u])
+    assert image_supports(sigma, []) == ()
